@@ -410,6 +410,22 @@ Result<std::pair<uint64_t, uint64_t>> Basket::SeqRangeForTs(
                         base_ + (hi_it - ts.begin()));
 }
 
+Result<BasketView> Basket::ReadWindowExtent(uint64_t origin_seq,
+                                            bool rows_mode, int64_t lo,
+                                            int64_t hi) const {
+  if (rows_mode) {
+    const int64_t origin = static_cast<int64_t>(origin_seq);
+    const int64_t abs_lo = std::max<int64_t>(origin + lo, origin);
+    const int64_t abs_hi = std::max<int64_t>(origin + hi, abs_lo);
+    return Read(static_cast<uint64_t>(abs_lo),
+                static_cast<uint64_t>(abs_hi - abs_lo));
+  }
+  DC_ASSIGN_OR_RETURN(auto range, SeqRangeForTs(lo, hi));
+  const uint64_t seq_lo = std::max(range.first, origin_seq);
+  const uint64_t seq_hi = std::max(range.second, seq_lo);
+  return Read(seq_lo, seq_hi - seq_lo);
+}
+
 void Basket::AdvanceReader(int reader_id, uint64_t upto_seq) {
   // upto_ordinal=0 is a no-op on the batch cursor (it only ever advances).
   AdvanceReaderBatches(reader_id, upto_seq, 0);

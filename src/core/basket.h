@@ -229,6 +229,13 @@ class Basket {
   Result<std::pair<uint64_t, uint64_t>> SeqRangeForTs(Micros ts_lo,
                                                       Micros ts_hi) const;
 
+  /// Reads the rows covering [lo, hi) in window coordinates
+  /// (src/core/window.h) for a window anchored at `origin_seq`: ROWS
+  /// offsets are relative to the origin, RANGE bounds are event times.
+  /// Either way nothing below the origin is read.
+  Result<BasketView> ReadWindowExtent(uint64_t origin_seq, bool rows_mode,
+                                      int64_t lo, int64_t hi) const;
+
   /// Marks rows below `upto_seq` as consumed by `reader_id`; physically
   /// drops any prefix consumed by all readers and wakes producers waiting
   /// for space.

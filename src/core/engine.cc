@@ -36,6 +36,27 @@ void SharingKeys(const plan::CompiledQuery& cq, ExecMode mode,
   *full_key = *prefix_key + '\x1e' + cq.finish_signature + '\x1e' + geom;
 }
 
+// Tier-P eligibility (docs/SHARING.md), one rule for submit and EXPLAIN:
+// an incremental query over exactly one windowed stream, at most one
+// table, and a window plan::IncrementalEligible accepts runs as a merge
+// tail over a SharedWindowNode. Returns the stream's relation slot, or -1.
+int NodeStreamRel(const plan::BoundQuery& q, ExecMode mode) {
+  if (mode != ExecMode::kIncremental || q.rels.empty() || q.rels.size() > 2) {
+    return -1;
+  }
+  int stream = -1;
+  for (size_t r = 0; r < q.rels.size(); ++r) {
+    if (!q.rels[r].is_stream) continue;
+    if (stream >= 0) return -1;
+    stream = static_cast<int>(r);
+  }
+  if (stream < 0 || !q.rels[stream].window.has_value() ||
+      !plan::IncrementalEligible({&*q.rels[stream].window})) {
+    return -1;
+  }
+  return stream;
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions options)
@@ -266,18 +287,14 @@ Result<std::string> Engine::ExplainSql(std::string_view sql,
     if (auto it = full_entries_.find(full_key); it != full_entries_.end()) {
       note.shared_with = it->second.refs;
       note.detail = "factory-level dedup";
-    } else if (auto pit = prefix_nodes_.find(prefix_key);
-               pit != prefix_nodes_.end()) {
-      const plan::BoundQuery& q = cq.bound;
-      if (q.rels.size() == 1 && q.rels[0].window.has_value()) {
-        const plan::WindowSpec& w = *q.rels[0].window;
-        for (const SharedWindowNodePtr& n : pit->second) {
-          if (w.slide > 0 && w.size % w.slide == 0 &&
-              n->Compatible(w.rows, w.slide)) {
-            note.shared_with = n->subscribers();
-            note.detail = StrFormat("window node %s", n->label().c_str());
-            break;
-          }
+    } else if (const int srel = NodeStreamRel(cq.bound, exec_mode);
+               srel >= 0 && prefix_nodes_.count(prefix_key) > 0) {
+      const plan::WindowSpec& w = *cq.bound.rels[srel].window;
+      for (const SharedWindowNodePtr& n : prefix_nodes_.at(prefix_key)) {
+        if (n->Compatible(w.rows, w.slide)) {
+          note.shared_with = n->subscribers();
+          note.detail = StrFormat("window node %s", n->label().c_str());
+          break;
         }
       }
     }
@@ -326,7 +343,6 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
   DC_ASSIGN_OR_RETURN(plan::CompiledQuery cq,
                       plan::Compile(std::move(bound)));
   auto executor = std::make_shared<exec::QueryExecutor>(std::move(cq));
-  const plan::BoundQuery& q = executor->compiled().bound;
 
   QueryEntry entry;
   {
@@ -342,8 +358,8 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
   std::string prefix_key, full_key;
   SharingKeys(executor->compiled(), options.mode, &prefix_key, &full_key);
   // Full compiled identity, recorded even with sharing off so EXPLAIN can
-  // find standing queries with the same plan (entry.full_key stays empty
-  // unless the query actually joined the sharing registry).
+  // find standing queries with the same plan (entry.full_key is made
+  // unique per query when sharing is off).
   entry.identity_key = full_key;
 
   // Held across all sharing decisions AND the engine/scheduler wiring
@@ -354,97 +370,129 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
 
   // Tier F: a standing query with the same full compiled identity —
   // alias its factory; this query only adds a private emitter on the
-  // shared output basket.
-  if (options_.enable_sharing) {
-    auto it = full_entries_.find(full_key);
-    if (it != full_entries_.end()) {
-      SharedFullEntry& fe = it->second;
-      // Recovery: the founding replay restored the shared factory from
-      // ITS record, which is stale submit-time origins whenever the
-      // founder was removed before the last checkpoint (a removed token
-      // has no snapshot entry) — possibly below the WAL truncation
-      // floor. An aliasing token that IS in the snapshot re-applies the
-      // checkpoint cut here. Safe: nothing fires during catalog replay,
-      // so the factory has zero invocations. Done before any refcount or
-      // emitter bookkeeping so a failure aborts the replay cleanly.
-      if (restore != nullptr && snap_progress != nullptr) {
-        DC_RETURN_NOT_OK(fe.factory->RestoreProgress(*snap_progress));
-      }
-      ++fe.refs;
-      ++full_hits_;
-      entry.factory = fe.factory;
-      entry.out_basket = fe.out_basket;
-      entry.full_key = full_key;
-      Emitter::Sink sink = options.sink;
-      if (!sink) {
-        entry.collector = std::make_shared<ResultCollector>();
-        sink = entry.collector->AsSink();
-      }
-      entry.latency =
-          metrics_.GetHistogram("query." + name + ".latency_us");
-      entry.emitter = std::make_shared<Emitter>(
-          name + ".emit", entry.out_basket, fe.out_names, std::move(sink),
-          entry.latency);
-      if (options_.scheduler_workers > 0) entry.emitter->Start();
-      const int id = entry.id;
-      const FactoryPtr aliased = entry.factory;
-      const SharedWindowNodePtr alias_node = fe.node;
-      uint64_t token = 0;
-      {
-        MutexLock lock(mu_);
-        if (wal_env_ != nullptr) {
-          token = restore != nullptr ? restore->token : next_submit_token_++;
-          if (token >= next_submit_token_) next_submit_token_ = token + 1;
-          entry.dur_token = token;
-          token_to_query_[token] = id;
-        }
-        queries_.emplace(id, std::move(entry));
-      }
-      // The logged progress of an aliasing submit is informational: the
-      // factory is already live, so its cursors may sit past undrained
-      // emissions — replay therefore never restores from an alias's
-      // record, only from the snapshot (above) or the founder's record.
-      if (wal_env_ != nullptr && !recovering_) {
-        LogSubmit(token, sql, options, aliased->SnapshotProgress(),
-                  alias_node);
-      }
-      return id;
+  // shared output basket. Otherwise found a new factory.
+  SharedFullEntry* fe = nullptr;
+  if (auto it = full_entries_.find(full_key);
+      options_.enable_sharing && it != full_entries_.end()) {
+    fe = &it->second;
+    // Recovery: the founding replay restored the shared factory from
+    // ITS record, which is stale submit-time origins whenever the
+    // founder was removed before the last checkpoint (a removed token
+    // has no snapshot entry) — possibly below the WAL truncation
+    // floor. An aliasing token that IS in the snapshot re-applies the
+    // checkpoint cut here. Safe: nothing fires during catalog replay,
+    // so the factory has zero invocations. Done before any refcount or
+    // emitter bookkeeping so a failure aborts the replay cleanly.
+    if (restore != nullptr && snap_progress != nullptr) {
+      DC_RETURN_NOT_OK(fe->factory->RestoreProgress(*snap_progress));
     }
+    ++fe->refs;
+    ++full_hits_;
+    entry.full_key = full_key;
+  }
+  const bool founded = fe == nullptr;
+  if (founded) {
+    DC_ASSIGN_OR_RETURN(fe, FoundFactory(&entry, executor, options.mode,
+                                         prefix_key, full_key, restore,
+                                         snap_progress));
+  }
+  entry.factory = fe->factory;
+  entry.out_basket = fe->out_basket;
+
+  Emitter::Sink sink = options.sink;
+  if (!sink) {
+    entry.collector = std::make_shared<ResultCollector>();
+    sink = entry.collector->AsSink();
+  }
+  entry.latency = metrics_.GetHistogram("query." + name + ".latency_us");
+  entry.emitter = std::make_shared<Emitter>(name + ".emit", entry.out_basket,
+                                            fe->out_names, std::move(sink),
+                                            entry.latency);
+  if (options_.scheduler_workers > 0) entry.emitter->Start();
+
+  // Capture the progress to log BEFORE the factory reaches the
+  // scheduler: once AddFactory runs, a threaded worker may fire and
+  // advance the cursors, and a post-fire cursor in the kSubmit record
+  // would make replay resume past emissions that were still undrained
+  // in the output basket at the crash — a permanent output gap. An
+  // alias's logged progress is informational: its factory is already
+  // live, so its cursors may sit past undrained emissions — replay never
+  // restores from an alias's record, only from the snapshot (above) or
+  // the founder's record.
+  storage::FactoryProgress logged_progress;
+  if (wal_env_ != nullptr && !recovering_) {
+    logged_progress = entry.factory->SnapshotProgress();
   }
 
-  // Tier P: a single divisible-window incremental stream query can hang
-  // off a SharedWindowNode as a merge tail — find a grid-compatible node
-  // under this prefix (window subsumption) or found a new one. The node
-  // owns the only basket reader; non-divisible windows keep the private
-  // fallback-to-full path (FactoryStats::fell_back_to_full).
+  if (founded) {
+    // Arcs before registration so no pulse lands in the gap; the targeted
+    // kick inside AddFactory covers anything that arrived before the arcs.
+    for (Basket* basket : entry.factory->InputBaskets()) {
+      scheduler_.AttachArc(basket, entry.id);
+    }
+    scheduler_.AddFactory(entry.factory);
+  }
+  const int id = entry.id;
+  uint64_t token = 0;
+  {
+    MutexLock lock(mu_);
+    if (wal_env_ != nullptr) {
+      token = restore != nullptr ? restore->token : next_submit_token_++;
+      if (token >= next_submit_token_) next_submit_token_ = token + 1;
+      entry.dur_token = token;
+      token_to_query_[token] = id;
+    }
+    queries_.emplace(id, std::move(entry));
+  }
+  if (wal_env_ != nullptr && !recovering_) {
+    LogSubmit(token, sql, options, logged_progress, fe->node);
+  }
+  return id;
+}
+
+Result<Engine::SharedFullEntry*> Engine::FoundFactory(
+    QueryEntry* entry, const std::shared_ptr<exec::QueryExecutor>& executor,
+    ExecMode mode, const std::string& prefix_key, const std::string& full_key,
+    const storage::WalSubmit* restore,
+    const storage::FactoryProgress* snap_progress) {
+  const plan::BoundQuery& q = executor->compiled().bound;
+
+  // Tier P: an incremental query over one divisible windowed stream (plus
+  // at most one table) runs as a merge tail over a SharedWindowNode. With
+  // sharing on it joins a grid-compatible node under its prefix (window
+  // subsumption) or founds one; with sharing off it always founds a
+  // private node. Every node is registered in prefix_nodes_ so
+  // checkpoints capture its origin and replay re-founds it by label.
   SharedWindowNodePtr node;
   int node_sub = -1;
-  const bool tier_p_eligible =
-      options_.enable_sharing && options.mode == ExecMode::kIncremental &&
-      q.rels.size() == 1 && q.rels[0].is_stream &&
-      q.rels[0].window.has_value() && q.rels[0].window->slide > 0 &&
-      q.rels[0].window->size % q.rels[0].window->slide == 0;
-  if (tier_p_eligible) {
+  if (const int srel = NodeStreamRel(q, mode); srel >= 0) {
+    const plan::BoundRelation& rel = q.rels[srel];
     std::shared_ptr<Basket> stream;
     {
       MutexLock lock(mu_);
-      auto bit = baskets_.find(q.rels[0].name);
+      auto bit = baskets_.find(rel.name);
       if (bit == baskets_.end()) return Status::Internal("basket missing");
       stream = bit->second;
     }
-    const plan::WindowSpec& w = *q.rels[0].window;
+    TablePtr table;
+    if (q.rels.size() == 2) {
+      DC_ASSIGN_OR_RETURN(table, catalog_.GetTable(q.rels[1 - srel].name));
+    }
+    const plan::WindowSpec& w = *rel.window;
     std::vector<SharedWindowNodePtr>& nodes = prefix_nodes_[prefix_key];
-    for (const SharedWindowNodePtr& n : nodes) {
-      if (n->basket() == stream.get() && n->Compatible(w.rows, w.slide)) {
-        node = n;
-        ++prefix_hits_;
-        break;
+    if (options_.enable_sharing) {
+      for (const SharedWindowNodePtr& n : nodes) {
+        if (n->basket() == stream.get() && n->Compatible(w.rows, w.slide)) {
+          node = n;
+          ++prefix_hits_;
+          break;
+        }
       }
     }
     if (node == nullptr) {
       node = std::make_shared<SharedWindowNode>(
-          StrFormat("%s#%d", q.rels[0].name.c_str(), next_node_ord_++),
-          stream, executor, w.rows, w.slide);
+          StrFormat("%s#%d", rel.name.c_str(), next_node_ord_++), stream,
+          executor, w.rows, w.slide, std::move(table));
       nodes.push_back(node);
       if (restore != nullptr && !restore->node_label.empty()) {
         // Node labels are allocated deterministically (next_node_ord_), so
@@ -466,7 +514,7 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
     node_sub = node->Subscribe();
   }
 
-  // Wire the factory inputs (a shared tail carries no reader of its own).
+  // Wire the factory inputs (a tail carries no reader of its own).
   std::vector<FactoryInput> inputs(q.rels.size());
   for (size_t r = 0; r < q.rels.size(); ++r) {
     if (q.rels[r].is_stream) {
@@ -499,24 +547,18 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
     while (out_schema.Has(col)) col += "_";
     DC_RETURN_NOT_OK(out_schema.AddColumn(col, out_types[i]));
   }
-  entry.out_basket =
-      std::make_shared<Basket>(name + ".out", out_schema);
+  auto out_basket =
+      std::make_shared<Basket>(entry->name + ".out", out_schema);
 
-  if (node != nullptr) {
-    auto tail = Factory::CreateSharedTail(entry.id, name, executor,
-                                          std::move(inputs), entry.out_basket,
-                                          node, node_sub);
-    if (!tail.ok()) {
+  auto factory = Factory::Create(entry->id, entry->name, executor, mode,
+                                 std::move(inputs), out_basket, node,
+                                 node_sub);
+  if (!factory.ok()) {
+    if (node != nullptr) {
       node->Unsubscribe(node_sub);
       PruneIdleNodesLocked();
-      return tail.status();
     }
-    entry.factory = *std::move(tail);
-  } else {
-    DC_ASSIGN_OR_RETURN(
-        entry.factory,
-        Factory::Create(entry.id, name, executor, options.mode,
-                        std::move(inputs), entry.out_basket));
+    return factory.status();
   }
 
   // Recovery: position the factory at its logged progress BEFORE the
@@ -532,66 +574,24 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
       p.origins = restore->origins;
       p.batch_cursor = restore->batch_cursor;
     }
-    DC_RETURN_NOT_OK(entry.factory->RestoreProgress(p));
+    DC_RETURN_NOT_OK((*factory)->RestoreProgress(p));
   }
 
   // Publish the factory for tier-F aliasing by later identical queries.
-  if (options_.enable_sharing) {
-    SharedFullEntry fe;
-    fe.factory_id = entry.id;
-    fe.refs = 1;
-    fe.factory = entry.factory;
-    fe.out_basket = entry.out_basket;
-    fe.out_names = out_names;
-    fe.node = node;
-    fe.node_sub = node_sub;
-    full_entries_.emplace(full_key, std::move(fe));
-    entry.full_key = full_key;
-  }
-
-  Emitter::Sink sink = options.sink;
-  if (!sink) {
-    entry.collector = std::make_shared<ResultCollector>();
-    sink = entry.collector->AsSink();
-  }
-  entry.latency = metrics_.GetHistogram("query." + name + ".latency_us");
-  entry.emitter = std::make_shared<Emitter>(name + ".emit", entry.out_basket,
-                                            out_names, std::move(sink),
-                                            entry.latency);
-  if (options_.scheduler_workers > 0) entry.emitter->Start();
-
-  // Capture the progress to log BEFORE the factory reaches the
-  // scheduler: once AddFactory runs, a threaded worker may fire and
-  // advance the cursors, and a post-fire cursor in the kSubmit record
-  // would make replay resume past emissions that were still undrained
-  // in the output basket at the crash — a permanent output gap.
-  storage::FactoryProgress logged_progress;
-  if (wal_env_ != nullptr && !recovering_) {
-    logged_progress = entry.factory->SnapshotProgress();
-  }
-
-  // Arcs before registration so no pulse lands in the gap; the targeted
-  // kick inside AddFactory covers anything that arrived before the arcs.
-  for (Basket* basket : entry.factory->InputBaskets()) {
-    scheduler_.AttachArc(basket, entry.id);
-  }
-  scheduler_.AddFactory(entry.factory);
-  const int id = entry.id;
-  uint64_t token = 0;
-  {
-    MutexLock lock(mu_);
-    if (wal_env_ != nullptr) {
-      token = restore != nullptr ? restore->token : next_submit_token_++;
-      if (token >= next_submit_token_) next_submit_token_ = token + 1;
-      entry.dur_token = token;
-      token_to_query_[token] = id;
-    }
-    queries_.emplace(id, std::move(entry));
-  }
-  if (wal_env_ != nullptr && !recovering_) {
-    LogSubmit(token, sql, options, logged_progress, node);
-  }
-  return id;
+  // With sharing off the key is made unique per query, so an identical
+  // later text founds its own factory; teardown is refcounted either way.
+  entry->full_key = options_.enable_sharing
+                        ? full_key
+                        : StrFormat("%s\x1e#%d", full_key.c_str(), entry->id);
+  SharedFullEntry fe;
+  fe.factory_id = entry->id;
+  fe.refs = 1;
+  fe.factory = *std::move(factory);
+  fe.out_basket = std::move(out_basket);
+  fe.out_names = out_names;
+  fe.node = node;
+  fe.node_sub = node_sub;
+  return &full_entries_.emplace(entry->full_key, std::move(fe)).first->second;
 }
 
 void Engine::LogSubmit(uint64_t token, std::string_view sql,
@@ -636,21 +636,17 @@ Status Engine::RemoveContinuous(int query_id) {
       queries_.erase(it);
       if (entry.dur_token != 0) token_to_query_.erase(entry.dur_token);
     }
-    if (!entry.full_key.empty()) {
-      auto it = full_entries_.find(entry.full_key);
-      if (it != full_entries_.end() && --it->second.refs == 0) {
-        SharedFullEntry fe = std::move(it->second);
-        full_entries_.erase(it);
-        // Blocks on in-flight fires; safe under share_mu_ because fires
-        // never take it.
-        scheduler_.RemoveFactory(fe.factory_id);
-        if (fe.node != nullptr) {
-          fe.node->Unsubscribe(fe.node_sub);
-          PruneIdleNodesLocked();
-        }
+    auto it = full_entries_.find(entry.full_key);
+    if (it != full_entries_.end() && --it->second.refs == 0) {
+      SharedFullEntry fe = std::move(it->second);
+      full_entries_.erase(it);
+      // Blocks on in-flight fires; safe under share_mu_ because fires
+      // never take it.
+      scheduler_.RemoveFactory(fe.factory_id);
+      if (fe.node != nullptr) {
+        fe.node->Unsubscribe(fe.node_sub);
+        PruneIdleNodesLocked();
       }
-    } else {
-      scheduler_.RemoveFactory(query_id);
     }
   }
   if (wal_env_ != nullptr && !recovering_ && entry.dur_token != 0) {
@@ -1290,18 +1286,16 @@ std::vector<ContinuousQueryInfo> Engine::Queries() const {
     info.sql = q.sql;
     info.mode = q.mode;
     info.factory = q.factory->Stats();
-    if (!q.full_key.empty()) {
-      auto fit = full_entries_.find(q.full_key);
-      if (fit != full_entries_.end()) {
-        info.shared_with = fit->second.refs;
-        if (fit->second.node != nullptr) {
-          info.shared_node = fit->second.node->label();
-          info.sharing = StrFormat("node %s x%d",
-                                   fit->second.node->label().c_str(),
-                                   fit->second.node->subscribers());
-        } else if (fit->second.refs > 1) {
-          info.sharing = StrFormat("factory x%d", fit->second.refs);
-        }
+    if (auto fit = full_entries_.find(q.full_key);
+        fit != full_entries_.end()) {
+      info.shared_with = fit->second.refs;
+      if (fit->second.node != nullptr) {
+        info.shared_node = fit->second.node->label();
+        info.sharing = StrFormat("node %s x%d",
+                                 fit->second.node->label().c_str(),
+                                 fit->second.node->subscribers());
+      } else if (fit->second.refs > 1) {
+        info.sharing = StrFormat("factory x%d", fit->second.refs);
       }
     }
     if (q.latency != nullptr) info.latency = q.latency->Snapshot();

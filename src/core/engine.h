@@ -72,8 +72,10 @@ struct EngineOptions {
   /// Multi-query sharing (docs/SHARING.md): queries with matching
   /// compiled identities alias one factory, and compatible windowed
   /// prefixes share one basic-window partial store (SharedWindowNode).
-  /// Off restores one private factory chain per query — the differential
-  /// equivalence suite runs both and asserts identical emissions.
+  /// Off only stops reuse: every query gets its own factory, and every
+  /// incremental window query its own private node, running the same
+  /// code — the differential suites run both and assert identical
+  /// emissions.
   bool enable_sharing = true;
 
   /// Durability (docs/DURABILITY.md): with a non-empty `dir`, every
@@ -125,7 +127,7 @@ struct ContinuousQueryInfo {
   int shared_with = 1;
   std::string sharing;
   /// Label of the SharedWindowNode serving this query's partials
-  /// ("<stream>#<ordinal>"), or "" for non-shared-tail queries.
+  /// ("<stream>#<ordinal>"), or "" for queries that are not node tails.
   std::string shared_node;
   /// Ingest→delivery latency snapshot (p50/p95/p99 via Percentile);
   /// empty until the first delivered emission (docs/OBSERVABILITY.md).
@@ -253,13 +255,13 @@ class Engine {
     // drainer holding a dangling pointer.
     std::shared_ptr<Emitter> emitter;
     std::shared_ptr<ResultCollector> collector;  // when no sink given
-    /// Sharing registry key of the factory this query subscribes to, or
-    /// "" when the factory is privately owned (sharing disabled).
+    /// Sharing registry key of the factory this query subscribes to (the
+    /// identity key, made unique per query with sharing disabled).
     /// Teardown is refcounted through full_entries_[full_key].
     std::string full_key;
-    /// Full compiled identity, always set (unlike full_key, which is ""
-    /// with sharing disabled). EXPLAIN matches standing queries on it to
-    /// report live latency for an equivalent plan.
+    /// Full compiled identity (unlike full_key, never made unique).
+    /// EXPLAIN matches standing queries on it to report live latency for
+    /// an equivalent plan.
     std::string identity_key;
     /// Per-query ingest→delivery histogram (registry name
     /// "query.<name>.latency_us"); the emitter records into it on every
@@ -275,8 +277,8 @@ class Engine {
   /// submitted query publishes its factory here keyed by full compiled
   /// identity; later identical queries alias it (refs++) with their own
   /// emitters on the shared output basket. The factory leaves the
-  /// scheduler — and its node subscription, when it is a shared tail —
-  /// only when refs hits zero.
+  /// scheduler — and its node subscription, when it is a tail — only
+  /// when refs hits zero.
   struct SharedFullEntry {
     int factory_id = 0;  // scheduler id (the first subscriber's query id)
     int refs = 0;
@@ -302,6 +304,16 @@ class Engine {
   Result<int> SubmitInternal(std::string_view sql, ContinuousOptions options,
                              const storage::WalSubmit* restore,
                              const storage::FactoryProgress* snap_progress);
+  /// SubmitInternal's founding step: builds the query's factory — a
+  /// merge tail over a joined or founded SharedWindowNode when tier P
+  /// applies — applies recovery progress, and publishes it in
+  /// full_entries_ with refs = 1 (setting entry->full_key). The factory
+  /// does not reach the scheduler here.
+  Result<SharedFullEntry*> FoundFactory(
+      QueryEntry* entry, const std::shared_ptr<exec::QueryExecutor>& executor,
+      ExecMode mode, const std::string& prefix_key,
+      const std::string& full_key, const storage::WalSubmit* restore,
+      const storage::FactoryProgress* snap_progress) DC_REQUIRES(share_mu_);
   /// Appends a kSubmit record (token, sql, the given factory progress,
   /// founded-node identity) to the catalog log. `progress` must be
   /// captured before the factory could first fire (pre-AddFactory): a

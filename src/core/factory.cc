@@ -38,30 +38,17 @@ Factory::~Factory() {
 Result<std::shared_ptr<Factory>> Factory::Create(
     int id, std::string name, std::shared_ptr<exec::QueryExecutor> executor,
     ExecMode mode, std::vector<FactoryInput> inputs,
-    std::shared_ptr<Basket> output) {
+    std::shared_ptr<Basket> output, SharedWindowNodePtr node, int sub_id) {
+  if (node != nullptr && sub_id < 0) {
+    return Status::InvalidArgument("a node tail requires a subscription");
+  }
   auto f = std::shared_ptr<Factory>(
       new Factory(id, std::move(name), std::move(executor), mode,
-                  std::move(inputs), std::move(output)));
+                  std::move(inputs), std::move(output), std::move(node),
+                  sub_id));
   {
     // Pre-publication, so uncontended — taken for the thread-safety
     // analysis, which checks Validate's guarded writes against mu_.
-    MutexLock lock(f->mu_);
-    DC_RETURN_NOT_OK(f->Validate());
-  }
-  return f;
-}
-
-Result<std::shared_ptr<Factory>> Factory::CreateSharedTail(
-    int id, std::string name, std::shared_ptr<exec::QueryExecutor> executor,
-    std::vector<FactoryInput> inputs, std::shared_ptr<Basket> output,
-    SharedWindowNodePtr node, int sub_id) {
-  if (node == nullptr || sub_id < 0) {
-    return Status::InvalidArgument("shared tail requires a node subscription");
-  }
-  auto f = std::shared_ptr<Factory>(new Factory(
-      id, std::move(name), std::move(executor), ExecMode::kIncremental,
-      std::move(inputs), std::move(output), std::move(node), sub_id));
-  {
     MutexLock lock(f->mu_);
     DC_RETURN_NOT_OK(f->Validate());
   }
@@ -79,7 +66,7 @@ Status Factory::Validate() {
   for (size_t r = 0; r < inputs_.size(); ++r) {
     FactoryInput& in = inputs_[r];
     if (in.is_stream) {
-      // Shared tails carry no reader of their own: the node owns the one
+      // Tails carry no reader of their own: the node owns the one
       // reader, and window coordinates anchor at the node's origin.
       if (in.basket == nullptr ||
           (in.reader_id < 0 && node_ == nullptr)) {
@@ -126,30 +113,6 @@ Status Factory::Validate() {
     batch_cursor_ = origin_seq_[stream_rels_[0]];
   }
 
-  if (node_ != nullptr) {
-    // Shared tail: exactly one windowed stream on the node's basket, with
-    // a divisible window the node's grid can serve (docs/SHARING.md).
-    const int rel = stream_rels_[0];
-    const auto& w = inputs_[rel].window;
-    if (shape_ != Shape::kSingleWindow || num_streams != 1 ||
-        table_rel_ >= 0 || !w.has_value()) {
-      return Status::InvalidArgument(
-          "shared tail requires exactly one windowed stream input");
-    }
-    if (inputs_[rel].basket != node_->basket()) {
-      return Status::InvalidArgument(
-          "shared tail input basket does not match its node");
-    }
-    if (w->size % w->slide != 0 ||
-        !node_->Compatible(w->rows, w->slide)) {
-      return Status::InvalidArgument(
-          "shared tail window is not grid-compatible with its node");
-    }
-    shape_ = Shape::kSharedTail;
-    incremental_active_ = true;
-    return Status::OK();
-  }
-
   // Decide whether incremental processing is applicable. The rule itself
   // (plan::IncrementalEligible) is shared with the compiler's EXPLAIN
   // classification; it is evaluated here over the factory's actual input
@@ -166,6 +129,32 @@ Status Factory::Validate() {
     }
     incremental_active_ = plan::IncrementalEligible(windows);
     stats_.fell_back_to_full = !incremental_active_;
+  }
+  const bool tail = shape_ == Shape::kSingleWindow && incremental_active_;
+  if (tail != (node_ != nullptr)) {
+    return Status::InvalidArgument(
+        tail ? "incremental single-window queries run as tails over a "
+               "SharedWindowNode; none was given"
+             : "only an incremental, divisible single-window query can be "
+               "a node tail");
+  }
+  if (tail) {
+    // The node reads the stream (and the table) for this query, so both
+    // must be the ones the plan names, at the plan's relation slots.
+    const int rel = stream_rels_[0];
+    const plan::WindowSpec& w = *inputs_[rel].window;
+    const TablePtr table =
+        table_rel_ >= 0 ? inputs_[table_rel_].table : nullptr;
+    if (inputs_[rel].basket != node_->basket() ||
+        rel != node_->stream_rel() || table != node_->table()) {
+      return Status::InvalidArgument(
+          "tail inputs do not match its node's stream/table");
+    }
+    if (!node_->Compatible(w.rows, w.slide)) {
+      return Status::InvalidArgument(
+          "tail window is not grid-compatible with its node");
+    }
+    shape_ = Shape::kSharedTail;
   }
   if (shape_ == Shape::kDualWindow) {
     // Local-aggregate numbering for the pre-aggregated delta path: each
@@ -217,9 +206,6 @@ FactoryStats Factory::Stats() const {
   s.cached_partials = partials_.size();
   size_t bytes = 0;
   for (const auto& [k, p] : partials_) bytes += p.MemoryBytes();
-  for (const auto& [k, c] : compact_) {
-    for (const BatPtr& col : c.cols) bytes += col->MemoryBytes();
-  }
   // Rolling delta-join state (one of the two sets is in use, the other
   // stays empty — row path vs pre-aggregated path).
   for (int side = 0; side < 2; ++side) {
@@ -301,7 +287,7 @@ bool Factory::CheckReadyLocked() const {
     }
     case Shape::kSharedTail:
     case Shape::kSingleWindow: {
-      // Shared tails probe exactly like private single-window factories:
+      // Tails probe exactly like full-reevaluation single-window factories:
       // origin_seq_ was anchored at the node's origin in Validate, and
       // readiness only reads the basket's high seq / watermark.
       const int rel = stream_rels_[0];
@@ -351,20 +337,9 @@ bool Factory::RangeSideReady(int rel, const WindowMath& wm, int64_t m) const {
 Result<exec::StageInput> Factory::ReadStreamExtent(int rel, bool rows_mode,
                                                    int64_t lo,
                                                    int64_t hi) const {
-  const FactoryInput& in = inputs_[rel];
-  BasketView view;
-  if (rows_mode) {
-    const int64_t origin = static_cast<int64_t>(origin_seq_[rel]);
-    const int64_t abs_lo = std::max<int64_t>(origin + lo, origin);
-    const int64_t abs_hi = std::max<int64_t>(origin + hi, abs_lo);
-    view = in.basket->Read(static_cast<uint64_t>(abs_lo),
-                           static_cast<uint64_t>(abs_hi - abs_lo));
-  } else {
-    DC_ASSIGN_OR_RETURN(auto range, in.basket->SeqRangeForTs(lo, hi));
-    uint64_t seq_lo = std::max(range.first, origin_seq_[rel]);
-    uint64_t seq_hi = std::max(range.second, seq_lo);
-    view = in.basket->Read(seq_lo, seq_hi - seq_lo);
-  }
+  DC_ASSIGN_OR_RETURN(BasketView view,
+                      inputs_[rel].basket->ReadWindowExtent(
+                          origin_seq_[rel], rows_mode, lo, hi));
   return exec::StageInput{std::move(view.cols), view.rows};
 }
 
@@ -460,121 +435,28 @@ Status Factory::FirePerBatch() {
   return Status::OK();
 }
 
-Result<const exec::StageInput*> Factory::EnsureCompact(int rel,
-                                                       bool rows_mode,
-                                                       int64_t bw) {
-  const auto key = std::make_pair(rel, bw);
-  auto it = compact_.find(key);
-  if (it != compact_.end()) return &it->second;
-  const WindowMath wm(*inputs_[rel].window);
-  const auto [lo, hi] = wm.BasicWindowExtent(bw);
-  DC_ASSIGN_OR_RETURN(exec::StageInput raw,
-                      ReadStreamExtent(rel, rows_mode, lo, hi));
-  stats_.tuples_in += raw.rows;
-  DC_ASSIGN_OR_RETURN(exec::StageOutput pre, executor_->RunPrejoin(rel, raw));
-  auto [pos, inserted] = compact_.emplace(
-      key, exec::StageInput{std::move(pre.cols), pre.rows});
-  return &pos->second;
-}
-
-Result<const exec::Partial*> Factory::EnsureSinglePartial(
-    int64_t bw, bool rows_mode, uint64_t table_version) {
-  const int rel = stream_rels_[0];
-  const PartialKey key{bw, 0};
-  auto it = partials_.find(key);
-  if (it != partials_.end() &&
-      (table_rel_ < 0 || partial_versions_[key] == table_version)) {
-    return &it->second;
-  }
-  stats_.fragments_computed++;
-  if (table_rel_ < 0) {
-    // No second relation: run the whole fragment pipeline directly.
-    const WindowMath wm(*inputs_[rel].window);
-    const auto [lo, hi] = wm.BasicWindowExtent(bw);
-    std::vector<exec::StageInput> raw(inputs_.size());
-    DC_ASSIGN_OR_RETURN(raw[rel], ReadStreamExtent(rel, rows_mode, lo, hi));
-    stats_.tuples_in += raw[rel].rows;
-    DC_ASSIGN_OR_RETURN(exec::Partial p, executor_->ComputePartial(raw));
-    auto [pos, ignored] = partials_.insert_or_assign(key, std::move(p));
-    return &pos->second;
-  }
-  // Stream-table: reuse the cached stream-side prejoin fragment; re-run the
-  // (cheap) postjoin against the current table version.
-  DC_ASSIGN_OR_RETURN(const exec::StageInput* sc,
-                      EnsureCompact(rel, rows_mode, bw));
-  if (!table_compact_.has_value() ||
-      table_compact_version_ != table_version) {
-    DC_ASSIGN_OR_RETURN(exec::StageOutput pre,
-                        executor_->RunPrejoin(table_rel_,
-                                              TableInput(table_rel_)));
-    table_compact_ = exec::StageInput{std::move(pre.cols), pre.rows};
-    table_compact_version_ = table_version;
-  }
-  std::vector<exec::StageInput> compact(inputs_.size());
-  compact[rel] = *sc;
-  compact[table_rel_] = *table_compact_;
-  DC_ASSIGN_OR_RETURN(exec::StageOutput frag,
-                      executor_->RunPostjoin(compact));
-  DC_ASSIGN_OR_RETURN(exec::Partial p, executor_->MakePartial(frag));
-  auto [pos, ignored] = partials_.insert_or_assign(key, std::move(p));
-  partial_versions_[key] = table_version;
-  return &pos->second;
-}
-
 Status Factory::FireSingleWindow() {
+  // Full re-evaluation of one window (kFullReeval, or the non-divisible
+  // incremental fallback); incremental windows run as node tails.
   const int rel = stream_rels_[0];
   const FactoryInput& in = inputs_[rel];
   const WindowMath wm(*in.window);
   const bool rows_mode = in.window->rows;
   const int64_t k = next_emission_.value_or(0);
-
-  int64_t ext_lo, ext_hi;  // window extent in window coordinates
-  if (rows_mode) {
-    ext_lo = wm.RowsWindowStart(k);
-    ext_hi = wm.RowsWindowEnd(k);
-  } else {
-    std::tie(ext_lo, ext_hi) = wm.RangeExtent(k);
-  }
-  const Micros trigger = TriggerStampLocked(k);
-
-  if (!incremental_active_) {
-    std::vector<exec::StageInput> raw(inputs_.size());
-    DC_ASSIGN_OR_RETURN(raw[rel],
-                        ReadStreamExtent(rel, rows_mode, ext_lo, ext_hi));
-    if (table_rel_ >= 0) raw[table_rel_] = TableInput(table_rel_);
-    stats_.tuples_in += raw[rel].rows;
-    DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->ExecuteFull(raw));
-    DC_RETURN_NOT_OK(EmitResult(result, trigger));
-  } else {
-    const uint64_t version =
-        table_rel_ >= 0 ? inputs_[table_rel_].table->Snapshot()->version : 0;
-    const auto [first, last] = rows_mode ? wm.BasicWindowsForRows(k)
-                                         : wm.BasicWindowsForRange(k);
-    std::vector<const exec::Partial*> ps;
-    for (int64_t j = first; j < last; ++j) {
-      DC_ASSIGN_OR_RETURN(const exec::Partial* p,
-                          EnsureSinglePartial(j, rows_mode, version));
-      ps.push_back(p);
-    }
-    DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->Finish(ps));
-    DC_RETURN_NOT_OK(EmitResult(result, trigger));
-    // Evict state that the next emission can no longer use.
-    const int64_t keep_from = first + 1;
-    std::erase_if(partials_,
-                  [&](const auto& kv) { return kv.first.a < keep_from; });
-    std::erase_if(partial_versions_,
-                  [&](const auto& kv) { return kv.first.a < keep_from; });
-    std::erase_if(compact_,
-                  [&](const auto& kv) { return kv.first.second < keep_from; });
-  }
+  const auto [lo, hi] = wm.Extent(k);
+  std::vector<exec::StageInput> raw(inputs_.size());
+  DC_ASSIGN_OR_RETURN(raw[rel], ReadStreamExtent(rel, rows_mode, lo, hi));
+  if (table_rel_ >= 0) raw[table_rel_] = TableInput(table_rel_);
+  stats_.tuples_in += raw[rel].rows;
+  DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->ExecuteFull(raw));
+  DC_RETURN_NOT_OK(EmitResult(result, TriggerStampLocked(k)));
 
   // Release consumed tuples: everything before the next window's start.
+  const int64_t next_lo = wm.Extent(k + 1).first;
   if (rows_mode) {
-    const uint64_t next_start =
-        origin_seq_[rel] + static_cast<uint64_t>(wm.RowsWindowStart(k + 1));
-    in.basket->AdvanceReader(in.reader_id, next_start);
+    in.basket->AdvanceReader(in.reader_id,
+                             origin_seq_[rel] + static_cast<uint64_t>(next_lo));
   } else {
-    const auto [next_lo, next_hi] = wm.RangeExtent(k + 1);
     DC_ASSIGN_OR_RETURN(auto range,
                         in.basket->SeqRangeForTs(next_lo, next_lo + 1));
     in.basket->AdvanceReader(in.reader_id, range.first);
@@ -584,27 +466,16 @@ Status Factory::FireSingleWindow() {
 }
 
 Status Factory::FireSharedTail() {
-  const int rel = stream_rels_[0];
-  const FactoryInput& in = inputs_[rel];
-  const WindowMath wm(*in.window);
-  const bool rows_mode = in.window->rows;
+  const WindowMath wm(*inputs_[stream_rels_[0]].window);
   const int64_t k = next_emission_.value_or(0);
-
-  int64_t ext_lo, ext_hi;  // window extent in window coordinates
-  if (rows_mode) {
-    ext_lo = wm.RowsWindowStart(k);
-    ext_hi = wm.RowsWindowEnd(k);
-  } else {
-    std::tie(ext_lo, ext_hi) = wm.RangeExtent(k);
-  }
+  const auto [lo, hi] = wm.Extent(k);
   const Micros trigger = TriggerStampLocked(k);
 
   // The node serves (and caches) the grid partials covering this window;
   // whichever subscriber fires first pays for a build, everyone else hits.
   std::vector<PartialPtr> parts;
   uint64_t built = 0, hits = 0, rows_in = 0;
-  DC_RETURN_NOT_OK(
-      node_->EnsureRange(ext_lo, ext_hi, &parts, &built, &hits, &rows_in));
+  DC_RETURN_NOT_OK(node_->EnsureRange(lo, hi, &parts, &built, &hits, &rows_in));
   stats_.fragments_computed += built;
   stats_.sharing_hits += hits;
   stats_.tuples_in += rows_in;
@@ -616,11 +487,7 @@ Status Factory::FireSharedTail() {
 
   // Release everything before the next window's start; the node advances
   // its reader / evicts at the minimum mark across subscribers.
-  const int64_t next_lo =
-      rows_mode ? wm.RowsWindowStart(k + 1) : wm.RangeExtent(k + 1).first;
-  const WindowMath grid(
-      plan::WindowSpec{rows_mode, node_->grid_slide(), node_->grid_slide()});
-  node_->Release(node_sub_, grid.BasicWindowOf(next_lo));
+  node_->Release(node_sub_, wm.Extent(k + 1).first);
   next_emission_ = k + 1;
   return Status::OK();
 }

@@ -10,8 +10,12 @@
 //   kFullReeval   re-run the whole plan over the full window every slide —
 //                 the mode for non-windowed and tumbling-window queries.
 //   kIncremental  per-basic-window partial caching + merge (DESIGN.md
-//                 §4.6). Requires slide | size; falls back to full
-//                 re-evaluation otherwise (recorded in stats).
+//                 §4.6). A single windowed stream (plus at most one table)
+//                 with slide | size runs as a merge tail over a
+//                 SharedWindowNode, which caches the basic-window partials
+//                 (docs/SHARING.md); stream-stream joins keep their delta
+//                 state in the factory. Non-divisible windows fall back to
+//                 full re-evaluation (recorded in stats).
 
 #ifndef DATACELL_CORE_FACTORY_H_
 #define DATACELL_CORE_FACTORY_H_
@@ -61,6 +65,9 @@ struct FactoryStats {
   uint64_t tuples_out = 0;
   Micros total_exec_micros = 0;
   Micros last_exec_micros = 0;
+  /// State this factory holds itself: stream-stream delta-join partials
+  /// and retained sides. A tail's basic-window partials live on its node
+  /// (SharedNodeStats::cached_partials/cached_bytes).
   uint64_t cached_partials = 0;
   size_t cached_bytes = 0;
   uint64_t fragments_computed = 0;  // basic-window fragments evaluated
@@ -76,9 +83,9 @@ struct FactoryStats {
   uint64_t retained_dead_rows = 0;
   /// Live entries across both sides' rolling join-key hash indexes.
   uint64_t index_entries = 0;
-  /// Shared-tail factories (docs/SHARING.md): basic-window partials this
-  /// query needed that were served from its shared node's cache instead
-  /// of being rebuilt (fragments_computed counts the ones it built).
+  /// Tails (docs/SHARING.md): basic-window partials this query needed
+  /// that were served from its node's cache instead of being rebuilt
+  /// (fragments_computed counts the ones it built).
   uint64_t sharing_hits = 0;
   bool fell_back_to_full = false;   // incremental requested, not divisible
   bool paused = false;
@@ -92,24 +99,20 @@ class Factory {
   /// Supported shapes (validated): one non-windowed stream (+ optional
   /// table), one windowed stream (+ optional table), or two RANGE-windowed
   /// streams with equal slide.
+  ///
+  /// An incremental query over one windowed stream with a divisible window
+  /// is a merge tail over `node` (docs/SHARING.md): its stream input
+  /// carries reader_id = -1 (the node owns the only reader), the window
+  /// must be grid-compatible with the node (node->Compatible), and the
+  /// tail releases consumed grid windows through `sub_id` — the engine
+  /// owns the subscription (node->Subscribe before creation,
+  /// node->Unsubscribe after the tail leaves the scheduler). Such a query
+  /// without a node is InvalidArgument; every other shape takes no node.
   static Result<std::shared_ptr<Factory>> Create(
       int id, std::string name, std::shared_ptr<exec::QueryExecutor> executor,
       ExecMode mode, std::vector<FactoryInput> inputs,
-      std::shared_ptr<Basket> output);
-
-  /// Shared-tail variant (docs/SHARING.md): a per-query merge tail over a
-  /// SharedWindowNode. `inputs` must be exactly one windowed stream with
-  /// reader_id = -1 (the node owns the only reader); the window must be
-  /// divisible (slide | size) and grid-compatible with the node
-  /// (node->Compatible). The tail merges the node's grid partials
-  /// covering its own window extents and releases consumed grid windows
-  /// through `sub_id` — the engine owns the subscription
-  /// (node->Subscribe before creation, node->Unsubscribe after the tail
-  /// leaves the scheduler).
-  static Result<std::shared_ptr<Factory>> CreateSharedTail(
-      int id, std::string name, std::shared_ptr<exec::QueryExecutor> executor,
-      std::vector<FactoryInput> inputs, std::shared_ptr<Basket> output,
-      SharedWindowNodePtr node, int sub_id);
+      std::shared_ptr<Basket> output, SharedWindowNodePtr node = nullptr,
+      int sub_id = -1);
 
   ~Factory();
 
@@ -158,7 +161,7 @@ class Factory {
   Factory(int id, std::string name,
           std::shared_ptr<exec::QueryExecutor> executor, ExecMode mode,
           std::vector<FactoryInput> inputs, std::shared_ptr<Basket> output,
-          SharedWindowNodePtr node = nullptr, int sub_id = -1);
+          SharedWindowNodePtr node, int sub_id);
 
   /// Runs pre-publication from Create, which takes mu_ around the call so
   /// the analysis can check Validate's guarded writes.
@@ -202,13 +205,10 @@ class Factory {
   Status EmitResult(const ColumnSet& result, Micros trigger_us)
       DC_REQUIRES(mu_);
 
-  /// Incremental caches. `compact_` holds per-(rel, basic-window) prejoin
-  /// outputs (kept when a second relation needs re-joining); `partials_`
-  /// holds mergeable partials keyed by basic window (single windowed
-  /// stream: {bw, 0}) or, for stream-stream delta joins, by
-  /// {expiry emission, creating emission} — the first component is the
-  /// basic-window-driven emission ordinal at which every pair in the
-  /// partial has left the window, so expiry evicts whole partials.
+  /// Stream-stream delta-join partials, keyed by {expiry emission,
+  /// creating emission} — the first component is the basic-window-driven
+  /// emission ordinal at which every pair in the partial has left the
+  /// window, so expiry evicts whole partials.
   struct PartialKey {
     int64_t a = 0;
     int64_t b = 0;
@@ -216,12 +216,6 @@ class Factory {
       return a != o.a ? a < o.a : b < o.b;
     }
   };
-
-  Result<const exec::StageInput*> EnsureCompact(int rel, bool rows_mode,
-                                                int64_t bw) DC_REQUIRES(mu_);
-  Result<const exec::Partial*> EnsureSinglePartial(int64_t bw, bool rows_mode,
-                                                   uint64_t table_version)
-      DC_REQUIRES(mu_);
 
   /// Reads and prejoins basic window `bw` of stream `rel` (RANGE mode).
   /// Each basic window is prejoined exactly once per side — the result is
@@ -255,8 +249,8 @@ class Factory {
   const ExecMode mode_;
   std::vector<FactoryInput> inputs_;
   std::shared_ptr<Basket> output_;
-  /// Shared-tail factories only: the node serving this query's partials
-  /// and the engine-owned subscription id used for Release calls.
+  /// Tails only: the node serving this query's partials and the
+  /// engine-owned subscription id used for Release calls.
   const SharedWindowNodePtr node_;
   const int node_sub_ = -1;
 
@@ -287,12 +281,7 @@ class Factory {
   // ROWS windows are relative to this origin).
   std::vector<uint64_t> origin_seq_ DC_GUARDED_BY(mu_);
 
-  std::map<std::pair<int, int64_t>, exec::StageInput> compact_
-      DC_GUARDED_BY(mu_);
   std::map<PartialKey, exec::Partial> partials_ DC_GUARDED_BY(mu_);
-  std::map<PartialKey, uint64_t> partial_versions_ DC_GUARDED_BY(mu_);
-  std::optional<exec::StageInput> table_compact_ DC_GUARDED_BY(mu_);
-  uint64_t table_compact_version_ DC_GUARDED_BY(mu_) = 0;
 
   /// Rolling retained-side state per join side (kDualWindow incremental):
   /// the row path uses delta_side_, the pre-aggregated path delta_groups_.

@@ -10,16 +10,18 @@
 //       keeps a private emitter/sink on the shared output basket. This
 //       covers joins (one RollingJoinIndex for M identical texts).
 //
-//   Tier P (prefix/partial sharing)  Single-windowed-stream incremental
-//       queries whose fragment prefixes match share one SharedWindowNode:
-//       the node owns the ONLY basket reader and a cache of basic-window
-//       partials at a fixed grid granularity; per-query tails
-//       (Factory Shape::kSharedTail) merge the grid partials covering
-//       their own window extents. Window subsumption: a tail with slide S
-//       can ride a node with grid g iff g | S (its window size is then
-//       also a multiple of g, since incremental mode requires
-//       slide | size) — a finer-slide query's partials serve any coarser
-//       compatible window.
+//   Tier P (prefix/partial sharing)  Every incremental query over one
+//       windowed stream (plus at most one table) with a divisible window
+//       runs as a merge tail over a SharedWindowNode; queries whose
+//       fragment prefixes match share one. The node owns the ONLY basket
+//       reader and a cache of basic-window partials at a fixed grid
+//       granularity; per-query tails (Factory Shape::kSharedTail) merge
+//       the grid partials covering their own window extents. Window
+//       subsumption: a tail with slide S can ride a node with grid g iff
+//       g | S (its window size is then also a multiple of g, since
+//       incremental mode requires slide | size) — a finer-slide query's
+//       partials serve any coarser compatible window. With sharing off
+//       each such query founds a private node with one subscriber.
 //
 // Lifecycle is refcount-driven: the engine subscribes a tail to its node
 // under Engine::share_mu_ (LockRank::kSharingRegistry) and a node is
@@ -33,12 +35,14 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/basket.h"
 #include "core/window.h"
 #include "exec/executor.h"
+#include "storage/table.h"
 #include "util/result.h"
 #include "util/sync.h"
 
@@ -65,7 +69,9 @@ struct SharedNodeStats {
 /// Engine-wide sharing snapshot (monitor pane, stats assertions).
 struct SharingStats {
   bool enabled = false;
-  uint64_t shared_nodes = 0;      // live tier-P nodes
+  /// Live tier-P nodes, including private single-subscriber nodes (with
+  /// sharing off every incremental window query founds its own).
+  uint64_t shared_nodes = 0;
   uint64_t shared_factories = 0;  // live tier-F factories with >1 query
   /// full_hits + prefix_hits + every node's cache hits: each unit of work
   /// (a factory registration or a grid partial) served from shared state
@@ -76,22 +82,25 @@ struct SharingStats {
   std::vector<SharedNodeStats> nodes;
 };
 
-/// One shared basic-window partial store over one stream basket. The node
-/// owns the basket reader; subscribed tails request grid partial ranges
-/// (EnsureRange) and release consumed prefixes (Release) — the reader
-/// advances, and cached partials evict, at the minimum released mark
-/// across subscribers, so the slowest tail bounds retention exactly like
-/// a private factory would.
+/// One shared basic-window partial store over one stream basket, and
+/// optionally one joined table. The node owns the basket reader;
+/// subscribed tails request grid partial ranges (EnsureRange) and release
+/// consumed prefixes (Release) — the reader advances, and cached state
+/// evicts, at the minimum released mark across subscribers, so the
+/// slowest tail bounds retention.
 class SharedWindowNode {
  public:
   /// Registers a from-start reader on `basket`; window coordinates of the
   /// grid are relative to the then-current cursor (ROWS) or absolute
   /// event time (RANGE). `executor` is any subscriber's executor — all
-  /// subscribers share the fragment prefix, so ComputePartial agrees.
+  /// subscribers share the fragment prefix, so their fragments agree.
+  /// `table` is the plan's table relation, or null when it reads only
+  /// the stream.
   SharedWindowNode(std::string label,
                    std::shared_ptr<Basket> basket,
                    std::shared_ptr<exec::QueryExecutor> executor,
-                   bool rows_mode, int64_t grid_slide);
+                   bool rows_mode, int64_t grid_slide,
+                   TablePtr table = nullptr);
   ~SharedWindowNode();
 
   SharedWindowNode(const SharedWindowNode&) = delete;
@@ -99,8 +108,10 @@ class SharedWindowNode {
 
   const std::string& label() const { return label_; }
   Basket* basket() const { return basket_.get(); }
+  const TablePtr& table() const { return table_; }
+  /// Relation slot of the stream in the shared plan.
+  int stream_rel() const { return stream_rel_; }
   bool rows_mode() const { return rows_mode_; }
-  int64_t grid_slide() const { return grid_slide_; }
   /// Basket cursor at node creation; ROWS tails anchor their window
   /// coordinates here (all subscribers share one origin).
   uint64_t origin_seq() const { return origin_seq_; }
@@ -124,18 +135,22 @@ class SharedWindowNode {
   int subscribers() const;
 
   /// Appends to `out` the grid partials covering window coordinates
-  /// [lo, hi), computing and caching the missing ones. `built`/`hits`/
-  /// `rows_in` are incremented (not reset) with this call's counts so the
-  /// firing tail can fold them into its own FactoryStats.
+  /// [lo, hi), computing and caching the missing ones. With a table, the
+  /// call reads ONE table snapshot: cached partials built from another
+  /// table version are rebuilt against it (re-running only the postjoin
+  /// over the cached stream-side prejoin), so the emission sees the
+  /// table as it is now. `built`/`hits`/`rows_in` are incremented (not
+  /// reset) with this call's counts so the firing tail can fold them
+  /// into its own FactoryStats.
   Status EnsureRange(int64_t lo, int64_t hi, std::vector<PartialPtr>* out,
                      uint64_t* built, uint64_t* hits, uint64_t* rows_in);
 
-  /// Subscriber `sub_id` no longer needs grid windows below
-  /// `first_needed_bw`; cached partials below the minimum mark across all
-  /// subscribers evict and the basket reader advances accordingly. A
-  /// subscriber that never released pins everything (new tails see the
-  /// full retained window).
-  void Release(int sub_id, int64_t first_needed_bw);
+  /// Subscriber `sub_id` no longer needs window coordinates below
+  /// `first_needed`; cached state below the minimum mark (in grid windows)
+  /// across all subscribers evicts and the basket reader advances
+  /// accordingly. A subscriber that never released pins everything (new
+  /// tails see the full retained window).
+  void Release(int sub_id, int64_t first_needed);
 
   SharedNodeStats Stats() const;
 
@@ -145,11 +160,10 @@ class SharedWindowNode {
     return plan::WindowSpec{rows_mode_, grid_slide_, grid_slide_};
   }
 
-  /// Reads the stream rows covering [lo, hi) in window coordinates
-  /// (Factory::ReadStreamExtent's conventions: ROWS offsets are relative
-  /// to origin_seq_ and clamp below it; RANGE bounds binary-search event
-  /// time and clamp to origin_seq_).
-  Result<exec::StageInput> ReadExtent(int64_t lo, int64_t hi) const;
+  /// Builds grid window `j`'s partial; `snap` is the call's table
+  /// snapshot (null without a table).
+  Result<PartialPtr> BuildLocked(int64_t j, const TableVersionPtr& snap,
+                                 uint64_t* rows_in) DC_REQUIRES(mu_);
 
   /// Evicts cache entries and advances the basket reader up to the
   /// minimum released mark; a no-op while any subscriber is unreleased.
@@ -160,6 +174,11 @@ class SharedWindowNode {
   const std::shared_ptr<exec::QueryExecutor> executor_;
   const bool rows_mode_;
   const int64_t grid_slide_;
+  const TablePtr table_;
+  // Relation slots in the shared plan (immutable after construction).
+  size_t num_rels_ = 1;
+  int stream_rel_ = 0;
+  int table_rel_ = -1;
   int reader_id_ = -1;  // immutable after construction
   /// Immutable after construction, except for a single RestoreOrigin
   /// call during recovery (before any tail fires).
@@ -168,8 +187,22 @@ class SharedWindowNode {
   /// Sentinel release mark: subscriber has not released anything yet.
   static constexpr int64_t kUnreleased = INT64_MIN;
 
+  /// A grid partial and the table version it was built from (0 without
+  /// a table).
+  struct CachedPartial {
+    PartialPtr partial;
+    uint64_t table_version = 0;
+  };
+
   mutable Mutex mu_{LockRank::kSharedNode};
-  std::map<int64_t, PartialPtr> cache_ DC_GUARDED_BY(mu_);
+  std::map<int64_t, CachedPartial> cache_ DC_GUARDED_BY(mu_);
+  /// Stream-table nodes: the stream-side prejoin output per grid window,
+  /// kept so a table change re-runs only the postjoin.
+  std::map<int64_t, exec::StageInput> stream_prejoin_ DC_GUARDED_BY(mu_);
+  /// Stream-table nodes: the table-side prejoin of the newest table
+  /// version seen (versions only grow).
+  std::optional<exec::StageInput> table_prejoin_ DC_GUARDED_BY(mu_);
+  uint64_t table_prejoin_version_ DC_GUARDED_BY(mu_) = 0;
   std::map<int, int64_t> subs_ DC_GUARDED_BY(mu_);  // sub id -> release mark
   int next_sub_ DC_GUARDED_BY(mu_) = 1;
   uint64_t builds_ DC_GUARDED_BY(mu_) = 0;

@@ -19,6 +19,7 @@
 #define DATACELL_CORE_WINDOW_H_
 
 #include <cstdint>
+#include <utility>
 
 #include "plan/bound.h"
 
@@ -66,6 +67,13 @@ class WindowMath {
   /// Event-ts extent [start, end) of the window ending at boundary m.
   std::pair<int64_t, int64_t> RangeExtent(int64_t m) const {
     return {RangeBoundary(m) - spec_.size, RangeBoundary(m)};
+  }
+
+  /// Extent [start, end) of emission k in window coordinates: row
+  /// offsets (ROWS) or event time (RANGE).
+  std::pair<int64_t, int64_t> Extent(int64_t k) const {
+    return spec_.rows ? std::make_pair(RowsWindowStart(k), RowsWindowEnd(k))
+                      : RangeExtent(k);
   }
 
   // --- Basic windows --------------------------------------------------------

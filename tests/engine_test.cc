@@ -222,6 +222,26 @@ TEST_F(EngineTest, ExplainReportsObservedLatencyOfStandingQueries) {
   EXPECT_NE(after->find("count=2"), std::string::npos);
 }
 
+TEST_F(EngineTest, ExplainReportsTheNodeOfAStreamTableQuery) {
+  Exec("CREATE STREAM s (ts timestamp, g int, v int)");
+  Exec("CREATE TABLE dim (g int, label string)");
+  auto join = [](int having) {
+    return StrFormat(
+        "SELECT label, count(*) FROM s [RANGE 4 SECONDS SLIDE 2 SECONDS] "
+        "JOIN dim ON s.g = dim.g GROUP BY label HAVING count(*) > %d",
+        having);
+  };
+  Submit(join(0));
+  // Same fragment prefix, another HAVING constant: EXPLAIN names the
+  // node the query would ride, exactly as submit would pick it.
+  auto plan = engine_.ExplainSql(join(1),
+                                 plan::PlanMode::kContinuousIncremental);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("sharing: shared with 1 query (window node s#1)"),
+            std::string::npos)
+      << *plan;
+}
+
 // Regression: Pump()/WaitIdle()/TakeResults() used to hold the engine
 // registry lock across emitter drains, so a sink that re-enters the
 // engine (the monitor does exactly this) self-deadlocked. Drains now run

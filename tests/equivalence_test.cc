@@ -720,6 +720,10 @@ class SharingDifferential : public ::testing::Test {
             .ok());
     ASSERT_TRUE(
         e.Execute("CREATE STREAM r (rts timestamp, kr int, y int)").ok());
+    ASSERT_TRUE(e.Execute("CREATE TABLE dim (g int, label string);"
+                          "INSERT INTO dim VALUES (0,'a'), (1,'b'), (2,'a'), "
+                          "(3,'c'), (4,'d')")
+                    .ok());
   }
 
   /// Identical deterministic feed for the shared engine and every solo
@@ -898,10 +902,56 @@ TEST_F(SharingDifferential, IncompatibleSlidesSplitNodes) {
   EXPECT_EQ(subs, 4);
 }
 
+TEST_F(SharingDifferential, StreamTablePrefixFamilyWithSubsumption) {
+  std::vector<ShareCase> cases;
+  // One stream-table prefix, two HAVING constants: one node caching the
+  // stream-side prejoin and the joined partials, two tails.
+  for (int i = 0; i < 2; ++i) {
+    cases.push_back({StrFormat(
+        "SELECT label, count(*), sum(v) FROM s "
+        "[RANGE 4 SECONDS SLIDE 1 SECONDS] JOIN dim ON s.g = dim.g "
+        "GROUP BY label HAVING count(*) > %d ORDER BY label", i)});
+  }
+  // Coarser compatible geometry rides the same node (slide 2 on grid 1).
+  cases.push_back({"SELECT label, count(*), sum(v) FROM s "
+                   "[RANGE 8 SECONDS SLIDE 2 SECONDS] JOIN dim ON s.g = dim.g "
+                   "GROUP BY label HAVING count(*) > 1 ORDER BY label"});
+
+  Engine shared(SharingOpts(true));
+  RunMatrix(cases, &shared);
+
+  const SharingStats ss = shared.GetSharingStats();
+  ASSERT_EQ(ss.shared_nodes, 1u);
+  EXPECT_EQ(ss.nodes[0].subscribers, 3);
+  EXPECT_EQ(ss.prefix_hits, 2u);
+  EXPECT_GT(ss.nodes[0].sharing_hits, 0u);
+  EXPECT_EQ(shared.StreamStats("s")->readers, 1u);
+}
+
+TEST_F(SharingDifferential, TableFirstJoinSharesToo) {
+  // The stream may sit at either relation slot of a stream-table plan.
+  std::vector<ShareCase> cases;
+  for (int i = 0; i < 2; ++i) {
+    cases.push_back({StrFormat(
+        "SELECT label, count(*), sum(v) FROM dim JOIN "
+        "s [ROWS 12 SLIDE 4] ON dim.g = s.g "
+        "GROUP BY label HAVING count(*) > %d ORDER BY label", i)});
+  }
+
+  Engine shared(SharingOpts(true));
+  RunMatrix(cases, &shared);
+
+  const SharingStats ss = shared.GetSharingStats();
+  ASSERT_EQ(ss.shared_nodes, 1u);
+  EXPECT_EQ(ss.nodes[0].subscribers, 2);
+  EXPECT_EQ(shared.StreamStats("s")->readers, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // RecoveryDifferential: kill-and-recover mid-stream must be invisible in
 // the output. The durability workload (tier-P shared-prefix pair, ROWS
-// ordinal anchoring, empty-window scalar, stream-stream delta join) runs
+// ordinal anchoring, empty-window scalar, stream-stream delta join) plus a
+// stream-table aggregate (a table-joined node's label and origin) runs
 // once uninterrupted and once killed at a checkpoint: emissions drained
 // before the kill concatenated with emissions after recovery must equal
 // the unkilled run BATCH FOR BATCH — same ordinals, same rows, including
@@ -913,9 +963,26 @@ class RecoveryDifferential : public ::testing::TestWithParam<ExecMode> {
  protected:
   static constexpr int kTapeRows = 36;
 
+  static void Ddl(Engine& e) {
+    testutil::WorkloadDdl(e);
+    ASSERT_TRUE(e.Execute("CREATE TABLE dim (g int, label string);"
+                          "INSERT INTO dim VALUES (0,'a'), (1,'b'), (2,'a'), "
+                          "(3,'c')")
+                    .ok());
+  }
+
+  static std::vector<std::string> Queries() {
+    std::vector<std::string> sqls = testutil::WorkloadQueries();
+    sqls.push_back(
+        "SELECT label, count(*), sum(v) FROM s "
+        "[RANGE 4 SECONDS SLIDE 2 SECONDS] JOIN dim ON s.g = dim.g "
+        "GROUP BY label ORDER BY label");
+    return sqls;
+  }
+
   std::vector<int> Submit(Engine& e) {
     std::vector<int> qids;
-    for (const std::string& sql : testutil::WorkloadQueries()) {
+    for (const std::string& sql : Queries()) {
       auto q = e.SubmitContinuous(sql, testutil::WithMode(GetParam()));
       EXPECT_TRUE(q.ok()) << q.status().ToString() << "\nsql: " << sql;
       qids.push_back(q.ok() ? *q : -1);
@@ -933,7 +1000,7 @@ TEST_P(RecoveryDifferential, KillAtCheckpointThenRecoverMatchesBatchForBatch) {
     const std::string odir = testutil::MakeTempDir("rdiff_oracle");
     Engine e(testutil::DurableSyncOptions(odir, nullptr,
                                           storage::FsyncPolicy::kInterval));
-    testutil::WorkloadDdl(e);
+    Ddl(e);
     const std::vector<int> qids = Submit(e);
     testutil::WorkloadFeed(e, rows, 0, 0, rows.size());
     testutil::WorkloadSeal(e);
@@ -954,7 +1021,7 @@ TEST_P(RecoveryDifferential, KillAtCheckpointThenRecoverMatchesBatchForBatch) {
     {
       Engine e(testutil::DurableSyncOptions(dir, nullptr,
                                             storage::FsyncPolicy::kInterval));
-      testutil::WorkloadDdl(e);
+      Ddl(e);
       const std::vector<int> qids = Submit(e);
       testutil::WorkloadFeed(e, rows, 0, 0, kill_at);
       head = testutil::WorkloadTake(e, qids);
@@ -970,7 +1037,7 @@ TEST_P(RecoveryDifferential, KillAtCheckpointThenRecoverMatchesBatchForBatch) {
     std::map<std::string, int> by_sql;
     for (const ContinuousQueryInfo& q : rec.Queries()) by_sql[q.sql] = q.id;
     std::vector<int> qids;
-    for (const std::string& sql : testutil::WorkloadQueries()) {
+    for (const std::string& sql : Queries()) {
       ASSERT_EQ(by_sql.count(sql), 1u) << "lost across restart: " << sql;
       qids.push_back(by_sql[sql]);
     }

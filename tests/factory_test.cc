@@ -21,7 +21,7 @@ class FactoryTest : public ::testing::Test {
     def.schema = s;
     def.ts_column = 0;
     ASSERT_TRUE(catalog_.RegisterStream(def).ok());
-    basket_ = std::make_unique<Basket>("s", s, 0);
+    basket_ = std::make_shared<Basket>("s", s, 0);
 
     Schema out;
     ASSERT_TRUE(out.AddColumn("x", TypeId::kI64).ok());
@@ -41,6 +41,21 @@ class FactoryTest : public ::testing::Test {
     return in;
   }
 
+  /// An incremental tail over a private node built on the fixture's
+  /// stream, the way the engine wires an unshared query.
+  Result<FactoryPtr> Tail(std::shared_ptr<exec::QueryExecutor> ex,
+                          plan::WindowSpec w, std::shared_ptr<Basket> out,
+                          SharedWindowNodePtr* node) {
+    *node = std::make_shared<SharedWindowNode>("s#1", basket_, ex, w.rows,
+                                               w.slide);
+    FactoryInput in;
+    in.is_stream = true;
+    in.basket = basket_.get();
+    in.window = w;
+    return Factory::Create(1, "f", std::move(ex), ExecMode::kIncremental,
+                           {in}, std::move(out), *node, (*node)->Subscribe());
+  }
+
   std::shared_ptr<Basket> OutBasket(const exec::QueryExecutor& ex) {
     Schema out;
     const auto types = exec::OutputTypes(ex.compiled());
@@ -58,7 +73,7 @@ class FactoryTest : public ::testing::Test {
   }
 
   Catalog catalog_;
-  std::unique_ptr<Basket> basket_;
+  std::shared_ptr<Basket> basket_;
   Schema out_schema_;
 };
 
@@ -111,9 +126,9 @@ TEST_F(FactoryTest, IncrementalCachesFragmentsPerBasicWindow) {
   w.slide = 1;
   auto ex = MakeExecutor("SELECT sum(v), count(*) FROM s");
   auto out = OutBasket(*ex);
-  auto f = Factory::Create(1, "f", ex, ExecMode::kIncremental,
-                           {StreamInput(w)}, out);
-  ASSERT_TRUE(f.ok());
+  SharedWindowNodePtr node;
+  auto f = Tail(ex, w, out, &node);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
   for (int i = 0; i < 10; ++i) {
     Push(i, 1);
     while ((*f)->CheckReady()) ASSERT_TRUE((*f)->Fire().ok());
@@ -123,7 +138,22 @@ TEST_F(FactoryTest, IncrementalCachesFragmentsPerBasicWindow) {
   // Each row entered exactly one fragment: 10 tuples in, not 7*4.
   EXPECT_EQ(stats.tuples_in, 10u);
   EXPECT_FALSE(stats.fell_back_to_full);
-  EXPECT_LE(stats.cached_partials, 4u);  // bounded by n_bw
+  // The partials live on the node; the tail caches nothing itself.
+  EXPECT_EQ(stats.cached_partials, 0u);
+  EXPECT_LE(node->Stats().cached_partials, 4u);  // bounded by n_bw
+}
+
+TEST_F(FactoryTest, IncrementalWindowWithoutNodeIsRejected) {
+  plan::WindowSpec w;
+  w.rows = true;
+  w.size = 4;
+  w.slide = 1;
+  auto ex = MakeExecutor("SELECT sum(v) FROM s");
+  // A divisible incremental window runs only as a node tail; it must not
+  // silently run in another mode.
+  auto f = Factory::Create(1, "f", ex, ExecMode::kIncremental,
+                           {StreamInput(w)}, OutBasket(*ex));
+  EXPECT_TRUE(f.status().IsInvalidArgument()) << f.status().ToString();
 }
 
 TEST_F(FactoryTest, IncrementalFallsBackWhenNotDivisible) {
@@ -151,9 +181,9 @@ TEST_F(FactoryTest, RangeWindowSkipsEmptyLeadingWindows) {
   w.slide = 2 * kMicrosPerSecond;
   auto ex = MakeExecutor("SELECT count(*) FROM s");
   auto out = OutBasket(*ex);
-  auto f = Factory::Create(1, "f", ex, ExecMode::kIncremental,
-                           {StreamInput(w)}, out);
-  ASSERT_TRUE(f.ok());
+  SharedWindowNodePtr node;
+  auto f = Tail(ex, w, out, &node);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
   // Stream starts late: first event at t=100 s.
   Push(100, 1);
   Push(101, 2);

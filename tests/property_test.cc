@@ -33,6 +33,10 @@ struct ModeCase {
   int64_t size;         // rows, or seconds
   int64_t slide;
   uint64_t seed;
+  /// Executed halfway through the feed (null: none) — a dimension-table
+  /// change while the incremental query holds partials built against the
+  /// old table version.
+  const char* midway = nullptr;
 };
 
 std::string CaseSql(const ModeCase& c) {
@@ -78,6 +82,9 @@ TEST_P(FullVsIncremental, EmissionsIdentical) {
   const int rows = 400;
   int64_t ts_sec = 0;
   for (int i = 0; i < rows; ++i) {
+    if (c.midway != nullptr && i == rows / 2) {
+      ASSERT_TRUE(engine.Execute(c.midway).ok()) << c.midway;
+    }
     // Event time advances by 0..1 s per row (duplicates included).
     ts_sec += rng.UniformInt(0, 3) / 2;
     ASSERT_TRUE(engine
@@ -132,6 +139,15 @@ std::vector<ModeCase> MakeCases() {
       cases.push_back(ModeCase{"range", q, false, size, slide, seed++});
     }
   }
+  // The table changes mid-stream: new keys start joining and a duplicate
+  // key doubles a group, so every window spanning the change must merge
+  // partials rebuilt against the new table version.
+  constexpr const char* kDimInsert =
+      "INSERT INTO dim VALUES (4,'e'), (5,'a'), (0,'z')";
+  cases.push_back(ModeCase{"rows", kJoinTable, true, 12, 3, seed++,
+                           kDimInsert});
+  cases.push_back(ModeCase{"range", kJoinTable, false, 8, 2, seed++,
+                           kDimInsert});
   return cases;
 }
 
