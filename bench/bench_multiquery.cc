@@ -8,10 +8,9 @@
 // emits the Graphviz query network (Fig. 1/Fig. 3 reproduction).
 //
 // Part 2 (threaded engines): the scheduler scaling sweep — fixed query
-// count, worker count swept — measuring fire throughput of the sharded
-// ready-queue scheduler (fires/s should grow with workers instead of
-// plateauing at 2, the failure mode of the old single-mutex design).
-// Emits BENCH_scheduler.json (see docs/BENCHMARKS.md for the schema).
+// count, worker count swept — measuring fire throughput of the one-FIFO
+// scheduler at 1, 2 and 4 workers. Emits BENCH_scheduler.json (see
+// docs/BENCHMARKS.md for the schema).
 //
 // `--smoke` shrinks the row count and skips the sync table so CI can run
 // the sweep cheaply and archive the JSON.
@@ -19,7 +18,7 @@
 // Expected shape: ingestion is shared (one basket append per batch
 // regardless of N); total execution grows ~linearly with N; resident
 // basket size is bounded by the largest window, not by N; sweep fires/s
-// monotone in worker count (given the cores to back it).
+// flat to rising in worker count (given the cores to back it).
 
 #include <cstdio>
 #include <cstring>
@@ -71,7 +70,7 @@ struct SweepPoint {
 SweepPoint RunSweep(int workers, int queries,
                     const std::vector<std::vector<BatPtr>>& batches) {
   EngineOptions o;
-  o.scheduler_workers = workers;  // shards default to one per worker
+  o.scheduler_workers = workers;
   Engine engine(o);
   DC_CHECK_OK(engine.Execute(workload::PacketDdl("pkts")));
   for (int i = 0; i < queries; ++i) {
@@ -113,16 +112,15 @@ void WriteSchedulerJson(const std::vector<SweepPoint>& points, int queries,
     const double wall_s =
         static_cast<double>(p.wall) / static_cast<double>(kMicrosPerSecond);
     fprintf(f,
-            "    {\"workers\": %d, \"shards\": %zu, \"wall_ms\": %.3f, "
+            "    {\"workers\": %d, \"wall_ms\": %.3f, "
             "\"fires\": %llu, \"fires_per_s\": %.1f, \"rows_per_s\": %.1f, "
-            "\"steals\": %llu, \"enqueues\": %llu, \"spurious_pops\": %llu, "
-            "\"notifications\": %llu}%s\n",
-            p.workers, p.sched.shards.size(),
-            static_cast<double>(p.wall) / 1000.0,
+            "\"max_queue_depth\": %llu, \"enqueues\": %llu, "
+            "\"spurious_pops\": %llu, \"notifications\": %llu}%s\n",
+            p.workers, static_cast<double>(p.wall) / 1000.0,
             static_cast<unsigned long long>(p.sched.fires),
             static_cast<double>(p.sched.fires) / wall_s,
             static_cast<double>(rows) / wall_s,
-            static_cast<unsigned long long>(p.sched.steals),
+            static_cast<unsigned long long>(p.sched.max_queue_depth),
             static_cast<unsigned long long>(p.sched.enqueues),
             static_cast<unsigned long long>(p.sched.spurious_pops),
             static_cast<unsigned long long>(p.sched.notifications),
@@ -272,10 +270,10 @@ int main(int argc, char** argv) {
   if (!want_dot) {
     Banner("E5b", "scheduler scaling: fire throughput vs worker count");
     const int sweep_queries = smoke ? 8 : 16;
-    printf("\n%d queries, %llu rows, shards = workers, stealing on\n",
+    printf("\n%d queries, %llu rows, one ready queue\n",
            sweep_queries, static_cast<unsigned long long>(rows));
     printf("\n%7s | %10s %10s %12s | %8s %10s %10s\n", "workers", "wall ms",
-           "fires", "fires/s", "steals", "spurious", "notifs");
+           "fires", "fires/s", "maxq", "spurious", "notifs");
     printf("%s\n", std::string(80, '-').c_str());
     std::vector<SweepPoint> points;
     for (int workers : {1, 2, 4}) {
@@ -287,7 +285,7 @@ int main(int argc, char** argv) {
              static_cast<double>(p.wall) / 1000.0,
              static_cast<unsigned long long>(p.sched.fires),
              static_cast<double>(p.sched.fires) / wall_s,
-             static_cast<unsigned long long>(p.sched.steals),
+             static_cast<unsigned long long>(p.sched.max_queue_depth),
              static_cast<unsigned long long>(p.sched.spurious_pops),
              static_cast<unsigned long long>(p.sched.notifications));
     }

@@ -198,6 +198,9 @@ Status Basket::AppendLocked(const std::vector<BatPtr>& cols,
   batches_.push_back(logged);
   ++append_batches_;
   high_ += n;
+  // Into an empty basket: drop what every reader is already past (a
+  // reader may wait ahead of HighSeq(); see AdvanceReader).
+  if (base_ + n == high_) ShrinkLocked();
   if (hooks_.on_batch) {
     // The WAL must see the values the basket actually stored, so a
     // replayed log re-clamps as a no-op.
@@ -437,8 +440,7 @@ void Basket::AdvanceReaderBatches(int reader_id, uint64_t upto_seq,
     MutexLock lock(mu_);
     auto it = readers_.find(reader_id);
     if (it == readers_.end()) return;
-    it->second.cursor =
-        std::max(it->second.cursor, std::min(upto_seq, high_));
+    it->second.cursor = std::max(it->second.cursor, upto_seq);
     it->second.batch_ord =
         std::max(it->second.batch_ord, std::min(upto_ordinal, append_batches_));
     ShrinkLocked();

@@ -238,7 +238,12 @@ class Basket {
 
   /// Marks rows below `upto_seq` as consumed by `reader_id`; physically
   /// drops any prefix consumed by all readers and wakes producers waiting
-  /// for space.
+  /// for space. `upto_seq` may lie beyond HighSeq(): a hopping ROWS
+  /// window (slide > size) releases up to its next window's start, and
+  /// recovery moves restored readers to their next read before the WAL
+  /// replays. The drop horizon still never passes HighSeq(); rows that
+  /// every reader is already past drop when they are appended into an
+  /// empty basket, since no later advance would release them.
   void AdvanceReader(int reader_id, uint64_t upto_seq);
 
   /// AdvanceReader for batch-tracking readers: additionally acknowledges

@@ -61,9 +61,7 @@ int NodeStreamRel(const plan::BoundQuery& q, ExecMode mode) {
 
 Engine::Engine(EngineOptions options)
     : options_(options),
-      scheduler_(Scheduler::Options{options.scheduler_workers,
-                                    options.scheduler_shards,
-                                    options.scheduler_work_stealing}) {
+      scheduler_(options.scheduler_workers) {
   if (options_.enable_tracing) trace::AddEnableRef();
   if (!options_.durability.dir.empty()) {
     wal_env_ = options_.durability.env != nullptr ? options_.durability.env
@@ -958,6 +956,19 @@ Status Engine::InitDurability() {
     }
   }
 
+  // Release what the restored cursors have passed, now that every node
+  // has all its subscribers: replay starts at the previous checkpoint,
+  // and rows no fire will consume must drop as they arrive, or a tail
+  // longer than the basket bound stalls.
+  std::vector<FactoryPtr> restored;
+  {
+    MutexLock lock(mu_);
+    for (const auto& [id, q] : queries_) restored.push_back(q.factory);
+  }
+  for (const FactoryPtr& f : restored) {
+    f->ReleaseRestoredPrefix();
+  }
+
   // 4. Replay basket data through the normal append path — windows,
   // join indexes, and grid partials rebuild under their own invariants.
   // Pump() after every record keeps the replay deterministic and matches
@@ -1035,36 +1046,24 @@ Status Engine::InitDurability() {
               static_cast<unsigned long long>(inputs[r].basket->HighSeq()),
               inputs[r].basket->name().c_str()));
         }
-        // Origins are window *anchors*, not live cursors — a long-lived
-        // query keeps its submit-time anchor while truncation advances,
-        // so the anchor itself may sit far below the floor. What must
-        // stay above the floor is the next sequence the cursor will
-        // actually read: origin + RowsWindowStart(next_emission) for
-        // ROWS windows, batch_cursor for per-batch factories. RANGE
+        // What must stay above the floor is the next sequence the query
+        // will actually read (NextReadSeq), not its window anchor. RANGE
         // windows resolve reads by timestamp (clamped at the anchor from
         // below), so the floor does not constrain them.
+        const std::optional<uint64_t> next_read =
+            NextReadSeq(inputs[r], r, p);
+        if (!next_read.has_value()) continue;
         uint64_t base = 0;
         if (auto bit = replay_base.find(inputs[r].basket->name());
             bit != replay_base.end()) {
           base = bit->second;
         }
-        uint64_t next_read = 0;
-        if (!inputs[r].window.has_value()) {
-          next_read = p.batch_cursor;
-        } else if (inputs[r].window->rows) {
-          const WindowMath wm(*inputs[r].window);
-          const int64_t k = p.has_next_emission ? p.next_emission : 0;
-          next_read =
-              p.origins[r] + static_cast<uint64_t>(wm.RowsWindowStart(k));
-        } else {
-          continue;
-        }
-        if (next_read < base) {
+        if (*next_read < base) {
           return Status::Internal(StrFormat(
               "query %s: restored cursor %llu below the WAL truncation "
               "floor %llu on %s",
               q.name.c_str(),
-              static_cast<unsigned long long>(next_read),
+              static_cast<unsigned long long>(*next_read),
               static_cast<unsigned long long>(base),
               inputs[r].basket->name().c_str()));
         }

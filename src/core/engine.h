@@ -47,15 +47,6 @@ struct EngineOptions {
   /// the caller drives execution with Pump() (deterministic, for tests).
   int scheduler_workers = 2;
 
-  /// Ready-queue shards for the scheduler; factory id picks the home
-  /// shard. 0 = one shard per worker. More shards than workers spreads
-  /// lock contention further (stealing keeps them all drained).
-  int scheduler_shards = 0;
-
-  /// Idle scheduler workers steal enabled factories from other shards'
-  /// ready queues. Leave on; off is for measuring the stealing benefit.
-  bool scheduler_work_stealing = true;
-
   /// Capacity bound applied to every stream basket (CREATE STREAM):
   /// producers — receptors, PushRow/PushColumns — block when a basket is
   /// full until its queries consume, keeping engine RSS bounded at any
@@ -102,7 +93,7 @@ struct EngineOptions {
   DurabilityOptions durability;
 
   /// Event tracing (docs/OBSERVABILITY.md): record scoped spans (factory
-  /// fires, basket appends/stalls, emitter drains, steals) into
+  /// fires, basket appends/stalls, emitter drains) into
   /// per-thread ring buffers, dumped via trace::DumpJson() as Chrome
   /// trace_event JSON. Process-wide and refcounted across engines; off
   /// (the default) costs one relaxed atomic load per span site — the

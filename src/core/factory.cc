@@ -243,8 +243,8 @@ Status Factory::RestoreProgress(const storage::FactoryProgress& p) {
                   "inputs",
                   name_.c_str(), p.origins.size(), origin_seq_.size()));
   }
-  // Only cursors are restored. Reader cursors self-heal (each fire
-  // re-advances them), and window/partial/join state rebuilds from the
+  // Only cursors are restored (the readers follow in
+  // ReleaseRestoredPrefix); window/partial/join state rebuilds from the
   // replayed rows — delta_seeded_ stays false so the first dual-window
   // emission re-joins the whole initial window.
   origin_seq_ = p.origins;
@@ -256,6 +256,38 @@ Status Factory::RestoreProgress(const storage::FactoryProgress& p) {
   batch_cursor_ = p.batch_cursor;
   stats_.emissions = p.emissions;
   return Status::OK();
+}
+
+void Factory::ReleaseRestoredPrefix() {
+  MutexLock lock(mu_);
+  if (node_ != nullptr) {
+    if (next_emission_.has_value()) {
+      const WindowMath wm(*inputs_[stream_rels_[0]].window);
+      node_->Release(node_sub_, wm.Extent(*next_emission_).first);
+    }
+    return;
+  }
+  storage::FactoryProgress p;
+  p.origins = origin_seq_;
+  p.has_next_emission = next_emission_.has_value();
+  p.next_emission = next_emission_.value_or(0);
+  p.batch_cursor = batch_cursor_;
+  for (size_t r = 0; r < inputs_.size(); ++r) {
+    const FactoryInput& in = inputs_[r];
+    if (!in.is_stream) continue;
+    if (std::optional<uint64_t> seq = NextReadSeq(in, r, p)) {
+      in.basket->AdvanceReader(in.reader_id, *seq);
+    }
+  }
+}
+
+std::optional<uint64_t> NextReadSeq(const FactoryInput& in, size_t rel,
+                                    const storage::FactoryProgress& p) {
+  if (!in.window.has_value()) return p.batch_cursor;
+  if (!in.window->rows) return std::nullopt;
+  const int64_t k = p.has_next_emission ? p.next_emission : 0;
+  return p.origins[rel] +
+         static_cast<uint64_t>(WindowMath(*in.window).RowsWindowStart(k));
 }
 
 bool Factory::CheckReady() const {

@@ -53,6 +53,15 @@ struct FactoryInput {
   TablePtr table;
 };
 
+/// The lowest row sequence the next fire of a factory at progress `p` can
+/// read from stream input `rel` (`in`): the batch cursor without a
+/// window, the next window's first row for a ROWS window. Window origins
+/// are anchors, not cursors — a long-lived query keeps its submit-time
+/// anchor — so this, not the origin, is what a reader may be advanced to.
+/// Nullopt for a RANGE window, whose reads resolve by event time.
+std::optional<uint64_t> NextReadSeq(const FactoryInput& in, size_t rel,
+                                    const storage::FactoryProgress& p);
+
 /// Monitoring snapshot (demo's per-query analysis pane).
 struct FactoryStats {
   uint64_t invocations = 0;
@@ -154,6 +163,15 @@ class Factory {
   /// restores progress before registering the factory with the scheduler,
   /// so a worker can never fire it against pre-restore origins.
   Status RestoreProgress(const storage::FactoryProgress& p);
+
+  /// Recovery, once every query is restored and before the WAL data
+  /// replays: moves this factory's basket readers to its next read, so
+  /// rows the restored cursors already passed drop as they replay
+  /// instead of filling the basket. A node tail records its release mark
+  /// instead; the node reader moves once every subscriber has one, to
+  /// the slowest tail's — which is why this cannot run per query while
+  /// the catalog replays.
+  void ReleaseRestoredPrefix();
 
  private:
   enum class Shape { kPerBatch, kSingleWindow, kDualWindow, kSharedTail };

@@ -2,21 +2,9 @@
 
 #include <algorithm>
 
-#include "monitor/trace.h"
-#include "util/clock.h"
-
-#include "util/logging.h"
-
 namespace dc {
 
-Scheduler::Scheduler() : Scheduler(Options{}) {}
-
-Scheduler::Scheduler(Options options) : options_(options) {
-  int shards = options_.num_shards;
-  if (shards <= 0) shards = std::max(1, options_.num_workers);
-  shards_.reserve(shards);
-  for (int i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
-}
+Scheduler::Scheduler(int num_workers) : num_workers_(num_workers) {}
 
 Scheduler::~Scheduler() {
   Stop();
@@ -24,7 +12,7 @@ Scheduler::~Scheduler() {
   // Baskets are required to outlive the scheduler (see header).
   std::vector<std::pair<Basket*, int>> listeners;
   {
-    WriterLock reg(reg_mu_);
+    MutexLock lock(mu_);
     for (auto& [basket, arcs] : arcs_) {
       if (arcs.listener_id >= 0) listeners.emplace_back(basket, arcs.listener_id);
     }
@@ -35,63 +23,37 @@ Scheduler::~Scheduler() {
   }
 }
 
-int Scheduler::ShardOf(int factory_id) const {
-  const int n = static_cast<int>(shards_.size());
-  return ((factory_id % n) + n) % n;
-}
-
 void Scheduler::AddFactory(FactoryPtr factory) {
   const int id = factory->id();
   {
-    WriterLock reg(reg_mu_);
-    auto entry = std::make_unique<Entry>();
-    entry->factory = std::move(factory);
-    entry->shard = ShardOf(id);
-    entries_[id] = std::move(entry);
+    MutexLock lock(mu_);
+    entries_[id] = Entry{std::move(factory), EntryState::kIdle};
   }
   // A from-start reader may already be enabled; kick it once.
   NotifyFactory(id);
 }
 
 void Scheduler::RemoveFactory(int factory_id) {
-  // Phase 1: quiesce the entry — wait out an in-flight fire (possibly on
-  // a stealing worker) and unlink a queued entry from its home ready
-  // queue. The wait is sliced so reg_mu_ is never held across a blocking
-  // wait (a pending writer would otherwise wedge the firing worker's
-  // completion path behind us).
-  while (true) {
-    bool quiesced = false;
-    {
-      ReaderLock reg(reg_mu_);
-      auto it = entries_.find(factory_id);
-      if (it == entries_.end()) return;
-      Entry& e = *it->second;
-      Shard& s = *shards_[e.shard];
-      MutexLock lock(s.mu);
-      if (e.state == EntryState::kRunning) {
-        // One 1 ms slice; the outer loop re-takes reg_mu_ and re-checks.
-        s.cv.WaitFor(s.mu, 1000);
-      }
-      if (e.state != EntryState::kRunning) {
-        if (e.state == EntryState::kQueued) std::erase(s.ready, factory_id);
-        e.state = EntryState::kRemoving;  // blocks re-enqueue until unlinked
-        quiesced = true;
-      }
-    }
-    if (quiesced) break;
-  }
-  // Phase 2: unlink the registration and every arc pointing at it.
   std::vector<std::pair<Basket*, int>> dead_listeners;
   {
-    WriterLock reg(reg_mu_);
-    entries_.erase(factory_id);
-    for (auto it = arcs_.begin(); it != arcs_.end();) {
-      std::erase(it->second.factory_ids, factory_id);
-      if (it->second.factory_ids.empty()) {
-        dead_listeners.emplace_back(it->first, it->second.listener_id);
-        it = arcs_.erase(it);
+    MutexLock lock(mu_);
+    // Wait out an in-flight fire. The entry is looked up afresh after
+    // every wait: a concurrent RemoveFactory may have erased it.
+    auto it = entries_.find(factory_id);
+    while (it != entries_.end() && it->second.state == EntryState::kRunning) {
+      idle_cv_.Wait(mu_);
+      it = entries_.find(factory_id);
+    }
+    if (it == entries_.end()) return;
+    if (it->second.state == EntryState::kQueued) std::erase(ready_, factory_id);
+    entries_.erase(it);
+    for (auto a = arcs_.begin(); a != arcs_.end();) {
+      std::erase(a->second.factory_ids, factory_id);
+      if (a->second.factory_ids.empty()) {
+        dead_listeners.emplace_back(a->first, a->second.listener_id);
+        a = arcs_.erase(a);
       } else {
-        ++it;
+        ++a;
       }
     }
   }
@@ -101,15 +63,15 @@ void Scheduler::RemoveFactory(int factory_id) {
 }
 
 std::vector<FactoryPtr> Scheduler::Factories() const {
-  ReaderLock reg(reg_mu_);
+  MutexLock lock(mu_);
   std::vector<FactoryPtr> out;
   out.reserve(entries_.size());
-  for (const auto& [id, e] : entries_) out.push_back(e->factory);
+  for (const auto& [id, e] : entries_) out.push_back(e.factory);
   return out;
 }
 
 void Scheduler::AttachArc(Basket* basket, int factory_id) {
-  WriterLock reg(reg_mu_);
+  MutexLock lock(mu_);
   ArcList& arcs = arcs_[basket];
   if (std::find(arcs.factory_ids.begin(), arcs.factory_ids.end(),
                 factory_id) != arcs.factory_ids.end()) {
@@ -123,33 +85,24 @@ void Scheduler::AttachArc(Basket* basket, int factory_id) {
 
 bool Scheduler::EnqueueIfIdleLocked(int factory_id) {
   auto it = entries_.find(factory_id);
-  if (it == entries_.end()) return false;
-  Entry& e = *it->second;
-  Shard& s = *shards_[e.shard];
-  MutexLock lock(s.mu);
-  if (e.state != EntryState::kIdle) return false;
-  e.state = EntryState::kQueued;
-  s.ready.push_back(factory_id);
-  ++s.stats.enqueues;
-  s.stats.max_queue_depth =
-      std::max<uint64_t>(s.stats.max_queue_depth, s.ready.size());
+  if (it == entries_.end() || it->second.state != EntryState::kIdle) {
+    return false;
+  }
+  it->second.state = EntryState::kQueued;
+  ready_.push_back(factory_id);
+  ++counters_.enqueues;
+  counters_.max_queue_depth =
+      std::max<uint64_t>(counters_.max_queue_depth, ready_.size());
   return true;
 }
 
 void Scheduler::WakeWorkers(int newly_queued) {
-  if (newly_queued <= 0) return;
-  {
-    MutexLock lock(idle_mu_);
-    wake_tokens_ += static_cast<uint64_t>(newly_queued);
-  }
-  // With stealing on, any woken worker can claim the work, so one wake per
-  // enqueue suffices. With stealing off, only the owning worker can — and
-  // notify_one might pick a non-owner that consumes the token and parks
-  // again, stranding the entry until the fallback tick. Wake everyone.
-  if (newly_queued == 1 && options_.work_stealing) {
-    idle_cv_.NotifyOne();
-  } else {
-    idle_cv_.NotifyAll();
+  // Workers test their predicate under mu_, which the enqueue held, so a
+  // notify after unlocking cannot be lost.
+  if (newly_queued == 1) {
+    work_cv_.NotifyOne();
+  } else if (newly_queued > 1) {
+    work_cv_.NotifyAll();
   }
 }
 
@@ -157,7 +110,7 @@ void Scheduler::Pulse(Basket* basket) {
   notifications_.fetch_add(1, std::memory_order_relaxed);
   int enqueued = 0;
   {
-    ReaderLock reg(reg_mu_);
+    MutexLock lock(mu_);
     auto it = arcs_.find(basket);
     if (it == arcs_.end()) return;
     for (int id : it->second.factory_ids) {
@@ -171,7 +124,7 @@ void Scheduler::Notify() {
   notifications_.fetch_add(1, std::memory_order_relaxed);
   int enqueued = 0;
   {
-    ReaderLock reg(reg_mu_);
+    MutexLock lock(mu_);
     for (const auto& [id, e] : entries_) {
       if (EnqueueIfIdleLocked(id)) ++enqueued;
     }
@@ -182,62 +135,19 @@ void Scheduler::Notify() {
 void Scheduler::NotifyFactory(int factory_id) {
   int enqueued = 0;
   {
-    ReaderLock reg(reg_mu_);
+    MutexLock lock(mu_);
     if (EnqueueIfIdleLocked(factory_id)) enqueued = 1;
   }
   WakeWorkers(enqueued);
 }
 
-bool Scheduler::ClaimNext(int worker_index, Claimed* out) {
-  ReaderLock reg(reg_mu_);
-  const int num_shards = static_cast<int>(shards_.size());
-  const int num_workers = std::max(1, options_.num_workers);
-  // Pass 0: FIFO-pop the shards this worker owns. Pass 1: steal from the
-  // back of everyone else's queue.
-  for (int pass = 0; pass < 2; ++pass) {
-    if (pass == 1 && !options_.work_stealing) break;
-    for (int k = 0; k < num_shards; ++k) {
-      const int si = (worker_index + k) % num_shards;
-      const bool owned = (si % num_workers) == worker_index;
-      if ((pass == 0) != owned) continue;
-      Shard& s = *shards_[si];
-      MutexLock lock(s.mu);
-      while (!s.ready.empty()) {
-        int id;
-        if (pass == 0) {
-          id = s.ready.front();
-          s.ready.pop_front();
-        } else {
-          id = s.ready.back();
-          s.ready.pop_back();
-        }
-        auto it = entries_.find(id);
-        if (it == entries_.end()) continue;                 // defensive
-        Entry& e = *it->second;
-        if (e.state != EntryState::kQueued) continue;       // defensive
-        e.state = EntryState::kRunning;
-        if (pass == 1) {
-          ++s.stats.steals;
-          trace::Instant("sched.steal", "sched", id);
-        }
-        out->id = id;
-        out->factory = e.factory;
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 bool Scheduler::TryClaimById(int factory_id) {
-  ReaderLock reg(reg_mu_);
+  MutexLock lock(mu_);
   auto it = entries_.find(factory_id);
   if (it == entries_.end()) return false;
-  Entry& e = *it->second;
-  Shard& s = *shards_[e.shard];
-  MutexLock lock(s.mu);
+  Entry& e = it->second;
   if (e.state == EntryState::kQueued) {
-    std::erase(s.ready, factory_id);
+    std::erase(ready_, factory_id);
   } else if (e.state != EntryState::kIdle) {
     return false;
   }
@@ -248,92 +158,84 @@ bool Scheduler::TryClaimById(int factory_id) {
 void Scheduler::CompleteFire(const Claimed& c, bool fired, bool error,
                              bool requeue) {
   {
-    ReaderLock reg(reg_mu_);
+    MutexLock lock(mu_);
     auto it = entries_.find(c.id);
     if (it != entries_.end()) {
-      Entry& e = *it->second;
-      Shard& s = *shards_[e.shard];
-      MutexLock lock(s.mu);
       if (fired) {
-        ++s.stats.fires;
-        if (error) ++s.stats.fire_errors;
+        ++counters_.fires;
+        if (error) ++counters_.fire_errors;
       } else {
-        ++s.stats.spurious_pops;
+        ++counters_.spurious_pops;
       }
-      e.state = EntryState::kIdle;
-      // A RemoveFactory() may be waiting for this entry to stop running.
-      s.cv.NotifyAll();
+      it->second.state = EntryState::kIdle;
     }
   }
+  // A RemoveFactory() may be waiting for this entry to stop running.
+  idle_cv_.NotifyAll();
   // A factory can be multiply enabled (several windows completed by one
   // pulse) and pulses arriving mid-fire are dropped, so the authoritative
   // probe runs once more after every fire.
   if (requeue && c.factory->CheckReady()) NotifyFactory(c.id);
 }
 
-void Scheduler::WorkerLoop(int worker_index) {
+void Scheduler::WorkerLoop() {
   while (true) {
     Claimed c;
-    if (ClaimNext(worker_index, &c)) {
-      bool fired = false;
-      bool error = false;
-      if (c.factory->CheckReady()) {
-        const Status st = c.factory->Fire();
-        fired = true;
-        error = !st.ok();
-      }
-      CompleteFire(c, fired, error, /*requeue=*/true);
-      continue;
+    {
+      MutexLock lock(mu_);
+      while (!stop_ && ready_.empty()) work_cv_.Wait(mu_);
+      if (stop_) return;
+      c.id = ready_.front();
+      ready_.pop_front();
+      // Every queued id is a registered kQueued entry: RemoveFactory and
+      // TryClaimById unlink the id from ready_ whenever they take it.
+      auto it = entries_.find(c.id);
+      if (it == entries_.end()) continue;
+      it->second.state = EntryState::kRunning;
+      c.factory = it->second.factory;
     }
-    MutexLock lock(idle_mu_);
-    if (stop_) return;
-    if (wake_tokens_ == 0) {
-      // Event-driven wait with a fallback tick (guards against wake
-      // tokens lost to claim races).
-      const Micros deadline = SteadyMicros() + 20000;
-      while (!stop_ && wake_tokens_ == 0) {
-        const Micros now = SteadyMicros();
-        if (now >= deadline) break;
-        idle_cv_.WaitFor(idle_mu_, deadline - now);
-      }
+    bool fired = false;
+    bool error = false;
+    if (c.factory->CheckReady()) {
+      const Status st = c.factory->Fire();
+      fired = true;
+      error = !st.ok();
     }
-    if (stop_) return;
-    if (wake_tokens_ > 0) --wake_tokens_;
+    CompleteFire(c, fired, error, /*requeue=*/true);
   }
 }
 
 void Scheduler::Start() {
-  MutexLock lock(idle_mu_);
+  MutexLock lock(mu_);
   if (running_) return;
   running_ = true;
   stop_ = false;
-  wake_tokens_ = 0;
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  for (int i = 0; i < num_workers_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 void Scheduler::Stop() {
   // Exactly one caller becomes the joiner; it takes ownership of the
-  // worker threads under idle_mu_ and joins them outside it. A concurrent
+  // worker threads under mu_ and joins them outside it. A concurrent
   // Stop() waits for the joiner to finish instead of double-joining the
   // same std::thread objects, and only returns once the pool is down.
   // running_ stays true until the join completes so Start() cannot launch
   // a second pool mid-teardown.
   std::vector<std::thread> workers;
   {
-    MutexLock lock(idle_mu_);
-    while (stopping_) idle_cv_.Wait(idle_mu_);
+    MutexLock lock(mu_);
+    while (stopping_) idle_cv_.Wait(mu_);
     if (!running_) return;
     stopping_ = true;
     stop_ = true;
     workers = std::move(workers_);
     workers_.clear();
   }
-  idle_cv_.NotifyAll();
+  work_cv_.NotifyAll();
   for (std::thread& t : workers) t.join();
   {
-    MutexLock lock(idle_mu_);
+    MutexLock lock(mu_);
     running_ = false;
     stopping_ = false;
   }
@@ -346,10 +248,10 @@ int Scheduler::DrainReady() {
     // Deterministic pass: probe and fire in factory-id order.
     std::vector<Claimed> snapshot;
     {
-      ReaderLock reg(reg_mu_);
+      MutexLock lock(mu_);
       snapshot.reserve(entries_.size());
       for (const auto& [id, e] : entries_) {
-        snapshot.push_back(Claimed{id, e->factory});
+        snapshot.push_back(Claimed{id, e.factory});
       }
     }
     int pass_fires = 0;
@@ -369,13 +271,11 @@ int Scheduler::DrainReady() {
 bool Scheduler::AnyBusyOrReady() const {
   std::vector<FactoryPtr> factories;
   {
-    ReaderLock reg(reg_mu_);
+    MutexLock lock(mu_);
     factories.reserve(entries_.size());
     for (const auto& [id, e] : entries_) {
-      Shard& s = *shards_[e->shard];
-      MutexLock lock(s.mu);
-      if (e->state == EntryState::kRunning) return true;
-      factories.push_back(e->factory);
+      if (e.state == EntryState::kRunning) return true;
+      factories.push_back(e.factory);
     }
   }
   for (const FactoryPtr& f : factories) {
@@ -385,29 +285,12 @@ bool Scheduler::AnyBusyOrReady() const {
 }
 
 SchedulerStats Scheduler::Stats() const {
-  SchedulerStats out;
+  MutexLock lock(mu_);
+  SchedulerStats out = counters_;
   out.notifications = notifications_.load(std::memory_order_relaxed);
-  {
-    // Registry before shard locks (kSchedRegistry < kSchedShard).
-    ReaderLock reg(reg_mu_);
-    out.factories = entries_.size();
-    for (const auto& [basket, arcs] : arcs_) {
-      out.arcs += arcs.factory_ids.size();
-    }
-  }
-  out.shards.reserve(shards_.size());
-  for (const auto& sp : shards_) {
-    Shard& s = *sp;
-    MutexLock lock(s.mu);
-    SchedulerShardStats ss = s.stats;
-    ss.queue_depth = s.ready.size();
-    out.fires += ss.fires;
-    out.fire_errors += ss.fire_errors;
-    out.enqueues += ss.enqueues;
-    out.steals += ss.steals;
-    out.spurious_pops += ss.spurious_pops;
-    out.shards.push_back(ss);
-  }
+  out.queue_depth = ready_.size();
+  out.factories = entries_.size();
+  for (const auto& [basket, arcs] : arcs_) out.arcs += arcs.factory_ids.size();
   return out;
 }
 

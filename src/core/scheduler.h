@@ -8,12 +8,10 @@
 // The net's arcs are explicit: AttachArc(basket, factory) subscribes a
 // factory to a basket's data-arrival pulses, and each pulse enqueues
 // exactly the subscribed factories — never the whole factory list — onto
-// ready queues sharded by factory id. Worker threads pop from the shards
-// they own (shard s is owned by worker s % num_workers) and, when their
-// own shards run dry, steal from the back of other shards' queues. The
-// former global mutex survives only as registration-time bookkeeping
-// (a reader/writer lock around the factory/arc registry); the hot path
-// takes it shared plus one per-shard lock.
+// one FIFO ready queue. Worker threads pop its front. One mutex guards
+// the registry, the arcs, the queue, every entry's claim state and the
+// worker lifecycle; it is held only for bookkeeping, never across a
+// fire.
 //
 // Two driving modes:
 //  * threaded: Start() launches N workers that fire enabled transitions
@@ -26,19 +24,18 @@
 //    AddFactory/RemoveFactory.
 //
 // A pulse enqueues a subscribed factory without probing it (probing takes
-// the factory lock, which must not nest inside scheduler locks — see
+// the factory lock, which must not nest inside the scheduler lock — see
 // below); the popping worker runs the probe and drops not-ready entries.
 // Such drops are counted as `spurious_pops` — cheap, and the price of
 // keeping producers out of factory locks.
 //
-// Lock ordering (deadlock-freedom invariant): the scheduler owns three
-// consecutive ranks of the engine lock hierarchy, acquired in the order
-//   registry lock (reg_mu_)  ->  shard lock  ->  idle lock / basket lock
-// — see docs/CONCURRENCY.md for the full ranked table, which the debug
-// lock validator enforces at runtime. Factory::CheckReady()/Fire() are
-// only ever called with NO scheduler lock held: a firing factory appends
-// to its output basket, whose pulse listeners re-enter the scheduler
-// (Pulse -> reg_mu_ -> shard lock).
+// Lock ordering (deadlock-freedom invariant): the scheduler's mutex has
+// rank kScheduler in the engine lock hierarchy (docs/CONCURRENCY.md,
+// enforced at runtime by the debug lock validator): above the factory
+// and shared-node locks, below basket locks. Factory::CheckReady()/Fire()
+// are only ever called with the scheduler lock NOT held: a firing
+// factory appends to its output basket, whose pulse listeners re-enter
+// the scheduler (Pulse -> mu_).
 //
 // Lifetime: baskets passed to AttachArc must outlive the scheduler (the
 // destructor unregisters its pulse listeners from them). Engine satisfies
@@ -50,7 +47,6 @@
 #include <atomic>
 #include <deque>
 #include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -59,31 +55,7 @@
 
 namespace dc {
 
-/// Per-shard scheduler counters (monitor pane; snapshot via Stats()).
-struct SchedulerShardStats {
-  /// Transitions fired from this shard's ready queue — by its owning
-  /// worker(s) or by a stealing worker (stolen fires count on the shard
-  /// the entry was queued on, i.e. the factory's home shard).
-  uint64_t fires = 0;
-  /// Of those fires, how many returned a non-OK Status.
-  uint64_t fire_errors = 0;
-  /// Ready-queue pushes: targeted enablements landing on this shard. One
-  /// factory is queued at most once, so enqueues <= pulses it received.
-  uint64_t enqueues = 0;
-  /// Entries taken from this shard's queue by a worker that does not own
-  /// the shard (work stealing drained load queued here).
-  uint64_t steals = 0;
-  /// Pops whose firing probe said not-ready: the pulse that enqueued the
-  /// factory did not actually enable it (e.g. a window not yet complete).
-  uint64_t spurious_pops = 0;
-  /// Ready-queue length at snapshot time.
-  uint64_t queue_depth = 0;
-  /// Largest queue length observed since construction.
-  uint64_t max_queue_depth = 0;
-};
-
-/// Scheduler statistics (monitor pane). The scalar counters are sums over
-/// `shards`, except `notifications`, which is global.
+/// Scheduler statistics (monitor pane; snapshot via Stats()).
 struct SchedulerStats {
   /// Factory firings actually performed (threaded workers + DrainReady).
   uint64_t fires = 0;
@@ -92,44 +64,44 @@ struct SchedulerStats {
   /// Notify(). NOT per-worker wakeups and NOT per-factory enablements —
   /// a pulse that enables five factories still counts once.
   uint64_t notifications = 0;
+  /// Of the fires, how many returned a non-OK Status.
   uint64_t fire_errors = 0;
+  /// Ready-queue pushes: targeted enablements. One factory is queued at
+  /// most once, so enqueues <= pulses it received.
   uint64_t enqueues = 0;
+  /// Always 0: there is one ready queue, so there is nothing to steal.
+  /// Kept so readers of the former work-stealing counter still compile.
   uint64_t steals = 0;
+  /// Pops whose firing probe said not-ready: the pulse that enqueued the
+  /// factory did not actually enable it (e.g. a window not yet complete).
   uint64_t spurious_pops = 0;
+  /// Ready-queue length at snapshot time.
+  uint64_t queue_depth = 0;
+  /// Largest ready-queue length observed since construction.
+  uint64_t max_queue_depth = 0;
   /// Registered factories and live (basket, factory) arcs — the lifecycle
   /// tests assert both return to zero after query churn.
   uint64_t factories = 0;
   uint64_t arcs = 0;
-  std::vector<SchedulerShardStats> shards;
 };
 
 /// Petri-net scheduler over the registered factories.
 class Scheduler {
  public:
-  struct Options {
-    int num_workers = 2;
-    /// Ready-queue shards. 0 = one shard per worker (minimum 1). Factory
-    /// `id` is homed on shard `id % num_shards`.
-    int num_shards = 0;
-    /// Idle workers steal from the back of other shards' queues. With
-    /// stealing off, coverage still holds: shard s is owned (FIFO-popped)
-    /// by worker s % num_workers.
-    bool work_stealing = true;
-  };
-
-  Scheduler();
-  explicit Scheduler(Options options);
+  /// `num_workers` threads fire factories once Start() is called; 0 means
+  /// manual mode only (DrainReady).
+  explicit Scheduler(int num_workers = 2);
   ~Scheduler();
 
   /// Registers the factory (keyed by its id, which must be unique) and
   /// gives it an initial targeted kick — a from-start reader may already
   /// be enabled. Attach arcs before AddFactory so no pulse is missed.
   void AddFactory(FactoryPtr factory);
-  /// Unlinks the factory and its arcs; blocks until any in-flight Fire()
-  /// completes (including one claimed by a stealing worker) and removes a
-  /// still-queued entry from its home shard's ready queue, so a busy or
-  /// queued entry is never destroyed mid-flight. Must not be called from
-  /// inside a Fire() (e.g. an emitter sink) — that would self-deadlock.
+  /// Unlinks the factory and its arcs; blocks until an in-flight Fire()
+  /// completes and removes a still-queued entry from the ready queue, so
+  /// a busy or queued entry is never destroyed mid-flight. Must not be
+  /// called from inside a Fire() (e.g. an emitter sink) — that would
+  /// self-deadlock.
   void RemoveFactory(int factory_id);
   std::vector<FactoryPtr> Factories() const;
 
@@ -163,30 +135,18 @@ class Scheduler {
   bool AnyBusyOrReady() const;
 
   SchedulerStats Stats() const;
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
-  /// Claim state of one registered factory. An entry is in its home
-  /// shard's ready queue iff state == kQueued (exactly once); kRunning
-  /// entries are owned by one firing thread; kRemoving blocks re-enqueue
-  /// while RemoveFactory unlinks the entry.
-  enum class EntryState { kIdle, kQueued, kRunning, kRemoving };
+  /// Claim state of one registered factory. An entry is in `ready_` iff
+  /// state == kQueued (exactly once); a kRunning entry is owned by one
+  /// firing thread, which returns it to kIdle.
+  enum class EntryState { kIdle, kQueued, kRunning };
 
+  /// Lives by value in `entries_`, so every access to `state` goes
+  /// through the DC_GUARDED_BY(mu_) map.
   struct Entry {
     FactoryPtr factory;
-    int shard = 0;  // home shard: id % num_shards
-    // Guarded by the home shard's lock (shards_[shard]->mu) — an indexed
-    // capability Clang TSA cannot express, so the contract is enforced by
-    // the rank validator + TSan rather than GUARDED_BY.
     EntryState state = EntryState::kIdle;
-  };
-
-  struct Shard {
-    mutable Mutex mu{LockRank::kSchedShard};
-    CondVar cv;  // pulsed on state changes (remove waiters)
-    // Queued factory ids homed on this shard.
-    std::deque<int> ready DC_GUARDED_BY(mu);
-    SchedulerShardStats stats DC_GUARDED_BY(mu);
   };
 
   /// Arcs of one basket plus the pulse listener that feeds them.
@@ -200,49 +160,45 @@ class Scheduler {
     FactoryPtr factory;
   };
 
-  int ShardOf(int factory_id) const;
   /// Data-arrival pulse from `basket` (wired as its listener).
   void Pulse(Basket* basket);
-  /// kIdle -> kQueued on the home shard; false if absent or not idle.
-  bool EnqueueIfIdleLocked(int factory_id) DC_REQUIRES_SHARED(reg_mu_);
+  /// kIdle -> kQueued; false if absent or not idle.
+  bool EnqueueIfIdleLocked(int factory_id) DC_REQUIRES(mu_);
+  /// Wakes workers for `newly_queued` entries (called after unlocking).
   void WakeWorkers(int newly_queued);
-  /// Pops the next queued factory: owned shards FIFO first, then (if
-  /// stealing) other shards LIFO. Transitions the entry to kRunning.
-  bool ClaimNext(int worker_index, Claimed* out);
   /// Claims a specific factory for DrainReady (kIdle or kQueued ->
-  /// kRunning, unlinking a queued entry from its home queue).
+  /// kRunning, unlinking a queued entry from the ready queue).
   bool TryClaimById(int factory_id);
   /// kRunning -> kIdle, records stats, wakes remove waiters; optionally
   /// re-enqueues the factory if its probe still holds (threaded workers;
   /// DrainReady re-scans instead).
   void CompleteFire(const Claimed& c, bool fired, bool error, bool requeue);
-  void WorkerLoop(int worker_index);
+  void WorkerLoop();
 
-  const Options options_;
+  const int num_workers_;
 
-  /// Registration bookkeeping: the factory registry and the basket arcs.
-  /// Hot-path readers take it shared; AddFactory/RemoveFactory/AttachArc
-  /// take it unique. Never held across CheckReady()/Fire().
-  mutable SharedMutex reg_mu_{LockRank::kSchedRegistry};
-  // Id-ordered map so DrainReady fires deterministically.
-  std::map<int, std::unique_ptr<Entry>> entries_ DC_GUARDED_BY(reg_mu_);
-  std::map<Basket*, ArcList> arcs_ DC_GUARDED_BY(reg_mu_);
-
-  std::vector<std::unique_ptr<Shard>> shards_;  // fixed at construction
-
-  /// Idle-worker parking lot: wake tokens are added per enqueue so a
-  /// pulse on any shard wakes a sleeper promptly; a 20ms fallback tick
-  /// guards against token loss under races (workers re-scan all shards).
-  Mutex idle_mu_{LockRank::kSchedIdle};
+  /// The one scheduler lock. Never held across CheckReady()/Fire().
+  mutable Mutex mu_{LockRank::kScheduler};
+  /// Workers wait for `stop_ || !ready_.empty()`.
+  CondVar work_cv_;
+  /// Signalled when an entry leaves kRunning (RemoveFactory waits for
+  /// it) and when a Stop() finishes joining (concurrent Stop()s wait).
   CondVar idle_cv_;
-  uint64_t wake_tokens_ DC_GUARDED_BY(idle_mu_) = 0;
-  bool running_ DC_GUARDED_BY(idle_mu_) = false;
-  bool stop_ DC_GUARDED_BY(idle_mu_) = false;
+  // Id-ordered map so DrainReady fires deterministically.
+  std::map<int, Entry> entries_ DC_GUARDED_BY(mu_);
+  std::map<Basket*, ArcList> arcs_ DC_GUARDED_BY(mu_);
+  /// Queued factory ids, popped FIFO.
+  std::deque<int> ready_ DC_GUARDED_BY(mu_);
+  /// fires, fire_errors, enqueues, spurious_pops, max_queue_depth; the
+  /// other fields are filled in by Stats().
+  SchedulerStats counters_ DC_GUARDED_BY(mu_);
+  bool running_ DC_GUARDED_BY(mu_) = false;
+  bool stop_ DC_GUARDED_BY(mu_) = false;
   /// True while one Stop() is joining workers; a concurrent Stop() waits
   /// for it instead of double-joining the same threads.
-  bool stopping_ DC_GUARDED_BY(idle_mu_) = false;
+  bool stopping_ DC_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> workers_ DC_GUARDED_BY(mu_);
 
-  std::vector<std::thread> workers_ DC_GUARDED_BY(idle_mu_);
   std::atomic<uint64_t> notifications_{0};
 };
 

@@ -26,7 +26,7 @@
 // Lifecycle is refcount-driven: the engine subscribes a tail to its node
 // under Engine::share_mu_ (LockRank::kSharingRegistry) and a node is
 // reclaimed only when its last subscriber unsubscribes. The node's own
-// mutex ranks kSharedNode (between kFactory and kSchedRegistry), so a
+// mutex ranks kSharedNode (between kFactory and kScheduler), so a
 // firing tail — holding its factory lock — may call into the node, which
 // reads baskets (kBasket) underneath.
 

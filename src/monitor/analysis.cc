@@ -117,8 +117,7 @@ void AnalysisPane::Sample(Engine& engine) {
     Record(p + ".cached_bytes", now, static_cast<double>(n.cached_bytes));
   }
 
-  // Scheduler pane: global fire throughput and the per-shard ready-queue
-  // picture (fires, steals, depths) of the sharded scheduler.
+  // Scheduler pane: fire throughput and the ready-queue picture.
   const SchedulerStats sched = engine.SchedStats();
   Record("sched.fires", now, static_cast<double>(sched.fires));
   rate("sched.fire_rate_per_s", "sched.fires_counter",
@@ -126,18 +125,11 @@ void AnalysisPane::Sample(Engine& engine) {
   Record("sched.notifications", now,
          static_cast<double>(sched.notifications));
   Record("sched.enqueues", now, static_cast<double>(sched.enqueues));
-  Record("sched.steals", now, static_cast<double>(sched.steals));
   Record("sched.spurious_pops", now,
          static_cast<double>(sched.spurious_pops));
-  for (size_t i = 0; i < sched.shards.size(); ++i) {
-    const SchedulerShardStats& sh = sched.shards[i];
-    const std::string p = StrFormat("sched.shard%zu", i);
-    Record(p + ".fires", now, static_cast<double>(sh.fires));
-    Record(p + ".steals", now, static_cast<double>(sh.steals));
-    Record(p + ".queue_depth", now, static_cast<double>(sh.queue_depth));
-    Record(p + ".max_queue_depth", now,
-           static_cast<double>(sh.max_queue_depth));
-  }
+  Record("sched.queue_depth", now, static_cast<double>(sched.queue_depth));
+  Record("sched.max_queue_depth", now,
+         static_cast<double>(sched.max_queue_depth));
 }
 
 std::vector<std::string> AnalysisPane::MetricNames() const {

@@ -11,9 +11,9 @@
 //     compilers; the `thread-safety` CMake preset builds with
 //     `-Werror=thread-safety` so the contracts are a permanent CI gate.
 //
-//  2. A lock-rank validator (run time, debug builds). Every Mutex and
-//     SharedMutex is constructed with a LockRank from the documented
-//     engine-wide hierarchy (docs/CONCURRENCY.md). A thread-local
+//  2. A lock-rank validator (run time, debug builds). Every Mutex is
+//     constructed with a LockRank from the documented engine-wide
+//     hierarchy (docs/CONCURRENCY.md). A thread-local
 //     held-lock stack checks that ranks are acquired in strictly
 //     increasing order and aborts on the first out-of-order acquisition,
 //     naming both ranks — turning a potential deadlock that TSan could
@@ -44,7 +44,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <shared_mutex>
 
 // --------------------------------------------------------------------------
 // Clang Thread Safety Analysis attribute macros (no-ops elsewhere).
@@ -62,14 +61,8 @@
 #define DC_ACQUIRED_BEFORE(...) DC_TSA_ATTR(acquired_before(__VA_ARGS__))
 #define DC_ACQUIRED_AFTER(...) DC_TSA_ATTR(acquired_after(__VA_ARGS__))
 #define DC_REQUIRES(...) DC_TSA_ATTR(requires_capability(__VA_ARGS__))
-#define DC_REQUIRES_SHARED(...) \
-  DC_TSA_ATTR(requires_shared_capability(__VA_ARGS__))
 #define DC_ACQUIRE(...) DC_TSA_ATTR(acquire_capability(__VA_ARGS__))
-#define DC_ACQUIRE_SHARED(...) \
-  DC_TSA_ATTR(acquire_shared_capability(__VA_ARGS__))
 #define DC_RELEASE(...) DC_TSA_ATTR(release_capability(__VA_ARGS__))
-#define DC_RELEASE_SHARED(...) \
-  DC_TSA_ATTR(release_shared_capability(__VA_ARGS__))
 #define DC_TRY_ACQUIRE(...) DC_TSA_ATTR(try_acquire_capability(__VA_ARGS__))
 #define DC_EXCLUDES(...) DC_TSA_ATTR(locks_excluded(__VA_ARGS__))
 #define DC_ASSERT_CAPABILITY(x) DC_TSA_ATTR(assert_capability(x))
@@ -120,9 +113,9 @@ enum class LockRank : int {
                         // the output-basket pulse into the scheduler)
   kSharedNode = 65,     // SharedWindowNode::mu_ (a tail Fire holds kFactory,
                         // calls into its shared node, which reads baskets)
-  kSchedRegistry = 70,  // Scheduler::reg_mu_ (reg -> shard -> idle)
-  kSchedShard = 80,     // Scheduler::Shard::mu
-  kSchedIdle = 90,      // Scheduler::idle_mu_
+  kScheduler = 70,      // Scheduler::mu_ (registry, arcs, ready queue;
+                        // taken from basket pulses a firing factory
+                        // sends while holding kFactory/kSharedNode)
   kBasket = 100,        // Basket::mu_ (listeners run outside it)
   kWal = 105,           // storage::WalWriter::mu_ (per-basket log file;
                         // appends run under kBasket via the WAL hook)
@@ -163,12 +156,8 @@ inline const char* LockRankName(LockRank r) {
       return "factory";
     case LockRank::kSharedNode:
       return "shared-node";
-    case LockRank::kSchedRegistry:
-      return "sched-registry";
-    case LockRank::kSchedShard:
-      return "sched-shard";
-    case LockRank::kSchedIdle:
-      return "sched-idle";
+    case LockRank::kScheduler:
+      return "scheduler";
     case LockRank::kBasket:
       return "basket";
     case LockRank::kWal:
@@ -303,44 +292,6 @@ class DC_CAPABILITY("mutex") Mutex {
   const LockRank rank_;
 };
 
-/// Capability-annotated std::shared_mutex with a lock rank. Shared and
-/// exclusive acquisitions obey the same rank rules (the rank orders the
-/// lock, not the mode).
-class DC_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank) : rank_(rank) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() DC_ACQUIRE() {
-    DC_SYNC_VALIDATE_ACQUIRE(rank_, LockRankName(rank_));
-    mu_.lock();
-    DC_SYNC_RECORD_ACQUIRE(rank_, this, LockRankName(rank_));
-  }
-
-  void Unlock() DC_RELEASE() {
-    DC_SYNC_RECORD_RELEASE(this);
-    mu_.unlock();
-  }
-
-  void LockShared() DC_ACQUIRE_SHARED() {
-    DC_SYNC_VALIDATE_ACQUIRE(rank_, LockRankName(rank_));
-    mu_.lock_shared();
-    DC_SYNC_RECORD_ACQUIRE(rank_, this, LockRankName(rank_));
-  }
-
-  void UnlockShared() DC_RELEASE_SHARED() {
-    DC_SYNC_RECORD_RELEASE(this);
-    mu_.unlock_shared();
-  }
-
-  LockRank rank() const { return rank_; }
-
- private:
-  std::shared_mutex mu_;
-  const LockRank rank_;
-};
-
 /// RAII exclusive lock over Mutex (std::lock_guard replacement).
 class DC_SCOPED_CAPABILITY MutexLock {
  public:
@@ -351,32 +302,6 @@ class DC_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII shared (reader) lock over SharedMutex.
-class DC_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) DC_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-  ~ReaderLock() DC_RELEASE() { mu_.UnlockShared(); }
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII exclusive (writer) lock over SharedMutex.
-class DC_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) DC_ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-  ~WriterLock() DC_RELEASE() { mu_.Unlock(); }
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable bound to Mutex. No predicate overloads on purpose:

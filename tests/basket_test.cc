@@ -66,6 +66,40 @@ TEST(BasketTest, ReadersGateDropping) {
   EXPECT_EQ(b.DropHorizon(), 7u);
 }
 
+TEST(BasketTest, ReadersAheadOfHighSeqDropRowsAsTheyArrive) {
+  Basket b("s", TsI64Schema(), 0);
+  const int r1 = b.RegisterReader(true);
+  const int r2 = b.RegisterReader(true);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(b.AppendRow({Value::Ts(i), Value::I64(i)}).ok());
+  }
+  // Both readers release past rows not yet appended (a hopping window
+  // releasing up to its next start); the horizon stops at HighSeq().
+  b.AdvanceReader(r1, 10);
+  b.AdvanceReader(r2, 7);
+  EXPECT_EQ(b.HighSeq(), 4u);
+  EXPECT_EQ(b.DropHorizon(), 4u);
+  EXPECT_EQ(b.Stats().resident_rows, 0u);
+  // A batch appended into the empty basket loses the rows every reader
+  // is past ([4, 7)) and keeps the rest.
+  ASSERT_TRUE(b.Append({Bat::MakeTs({4, 5, 6, 7, 8, 9, 10, 11}),
+                        Bat::MakeI64({4, 5, 6, 7, 8, 9, 10, 11})})
+                  .ok());
+  EXPECT_EQ(b.HighSeq(), 12u);
+  EXPECT_EQ(b.DropHorizon(), 7u);
+  BasketView view = b.Read(0);
+  EXPECT_EQ(view.first_seq, 7u);
+  ASSERT_EQ(view.rows, 5u);
+  EXPECT_EQ(view.cols[1]->I64Data()[0], 7);
+  // The slower reader catching up drops the rest of what both passed.
+  b.AdvanceReader(r2, 10);
+  EXPECT_EQ(b.DropHorizon(), 10u);
+  view = b.Read(0);
+  EXPECT_EQ(view.first_seq, 10u);
+  ASSERT_EQ(view.rows, 2u);
+  EXPECT_EQ(view.cols[1]->I64Data()[0], 10);
+}
+
 TEST(BasketTest, NoReadersMeansNoDropping) {
   Basket b("s", TsI64Schema(), 0);
   for (int i = 0; i < 5; ++i) {

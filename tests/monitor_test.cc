@@ -90,6 +90,16 @@ TEST_F(MonitorTest, AnalysisPaneSeriesAndAggregates) {
   EXPECT_EQ(series->size(), 2u);
   EXPECT_GE((*series)[1].value, (*series)[0].value);
   EXPECT_FALSE(pane.Aggregate("no.such.metric").ok());
+
+  // The scheduler pane exposes the ready queue's depth and high-water
+  // mark; registering the queries queued each factory at least once.
+  auto depth = pane.Series("sched.queue_depth");
+  ASSERT_TRUE(depth.ok()) << depth.status().ToString();
+  EXPECT_EQ(depth->size(), 2u);
+  auto max_depth = pane.Series("sched.max_queue_depth");
+  ASSERT_TRUE(max_depth.ok()) << max_depth.status().ToString();
+  EXPECT_GE((*max_depth)[1].value, (*depth)[1].value);
+  EXPECT_GE((*max_depth)[1].value, 1.0);
 }
 
 TEST_F(MonitorTest, AnalysisPaneCsvWellFormed) {

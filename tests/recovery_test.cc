@@ -577,6 +577,125 @@ TEST_F(RecoveryTest, AliasRestoresSnapshotProgressAfterFounderRemoval) {
       << "recovery lost emissions the checkpoint never covered";
 }
 
+// A replayed WAL tail longer than the basket bound. With a checkpoint
+// every 100 K rows, the log holds everything since the PREVIOUS
+// checkpoint — 150 K rows at restart against a 64 Ki-row bound — and the
+// restored cursors have already passed the first 100 K of them, so no
+// fire releases those rows. Recovery must position the restored readers
+// (a node tail, a full-reevaluation window, a per-batch filter) at their
+// next read and drop the passed rows as they replay, instead of refusing
+// with "basket full and nothing to pump". The two incremental ROWS
+// tails share one node but need different rows: the shorter window's
+// next read lies 3000 rows past the longer one's, so the node reader
+// must wait at the slower tail, not at whichever restores first.
+// Emissions taken before the last checkpoint plus everything the
+// recovered engine emits must equal an uninterrupted run.
+TEST_F(RecoveryTest, ReplayTailLongerThanTheBasketBoundRecovers) {
+  constexpr int64_t kRows = 250000;
+  constexpr int64_t kResumeRows = 50000;
+  constexpr int64_t kBatch = 1000;
+  constexpr int64_t kCheckpointEvery = 100000;
+  const std::vector<std::pair<std::string, ExecMode>> queries = {
+      {"SELECT count(*), sum(v) FROM s [ROWS 1000 SLIDE 500]",
+       ExecMode::kIncremental},
+      {"SELECT count(*), sum(v) FROM s [ROWS 4000 SLIDE 500]",
+       ExecMode::kIncremental},
+      {"SELECT count(*), max(v) FROM s [ROWS 1000 SLIDE 500]",
+       ExecMode::kFullReeval},
+      {"SELECT ts, v FROM s WHERE v = 7", ExecMode::kFullReeval},
+  };
+  auto options = [&](bool durable) {
+    EngineOptions o = durable
+                          ? DurableSyncOptions(dir_, nullptr,
+                                               FsyncPolicy::kNever)
+                          : testutil::SyncOptions();
+    o.basket_limits = BasketLimits{/*max_rows=*/1 << 16, /*max_bytes=*/0};
+    return o;
+  };
+  auto push = [](Engine& e, int64_t lo, int64_t hi) {
+    for (int64_t b = lo; b < hi; b += kBatch) {
+      BatPtr ts = Bat::MakeEmpty(TypeId::kTs);
+      BatPtr v = Bat::MakeEmpty(TypeId::kI64);
+      for (int64_t i = b; i < b + kBatch; ++i) {
+        ts->AppendI64(i * 1000);
+        v->AppendI64((i * 7919) % 1000);
+      }
+      ASSERT_TRUE(e.PushColumns("s", {ts, v}).ok()) << "row " << b;
+      e.Pump();
+    }
+  };
+  auto take = [](Engine& e, const std::vector<int>& qids,
+                 std::vector<std::vector<std::string>>* out) {
+    out->resize(qids.size());
+    for (size_t q = 0; q < qids.size(); ++q) {
+      auto r = e.TakeResults(qids[q]);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      for (std::string& row : testutil::EmissionStrings(*r)) {
+        (*out)[q].push_back(std::move(row));
+      }
+    }
+  };
+
+  std::vector<std::vector<std::string>> oracle;
+  {
+    Engine e(options(/*durable=*/false));
+    ASSERT_TRUE(e.Execute("CREATE STREAM s (ts timestamp, v int)").ok());
+    std::vector<int> qids;
+    for (const auto& [sql, mode] : queries) {
+      auto id = e.SubmitContinuous(sql, testutil::WithMode(mode));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      qids.push_back(*id);
+    }
+    push(e, 0, kRows + kResumeRows);
+    take(e, qids, &oracle);
+  }
+
+  // Durable run: emissions are taken at every checkpoint, so `got` holds
+  // exactly what the last checkpoint covered when the engine shuts down.
+  std::vector<std::vector<std::string>> got;
+  {
+    Engine e(options(/*durable=*/true));
+    ASSERT_TRUE(e.recovery_status().ok());
+    ASSERT_TRUE(e.Execute("CREATE STREAM s (ts timestamp, v int)").ok());
+    std::vector<int> qids;
+    for (const auto& [sql, mode] : queries) {
+      auto id = e.SubmitContinuous(sql, testutil::WithMode(mode));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      qids.push_back(*id);
+    }
+    for (int64_t lo = 0; lo < kRows; lo += kCheckpointEvery) {
+      const int64_t hi = std::min(kRows, lo + kCheckpointEvery);
+      push(e, lo, hi);
+      if (hi % kCheckpointEvery == 0) {
+        take(e, qids, &got);
+        ASSERT_TRUE(e.Checkpoint().ok());
+      }
+    }
+  }
+
+  Engine rec(options(/*durable=*/true));
+  ASSERT_TRUE(rec.recovery_status().ok())
+      << rec.recovery_status().ToString();
+  std::vector<int> qids;
+  for (const auto& [sql, mode] : queries) {
+    for (const ContinuousQueryInfo& q : rec.Queries()) {
+      if (q.sql == sql) qids.push_back(q.id);
+    }
+  }
+  ASSERT_EQ(qids.size(), queries.size());
+  ASSERT_EQ(rec.GetBasket("s")->HighSeq(), static_cast<uint64_t>(kRows));
+  // Both incremental tails hang off one node.
+  ASSERT_EQ(rec.GetSharingStats().prefix_hits, 1u);
+  // The replayed tail really was longer than the basket bound.
+  EXPECT_GT(rec.metrics().GetCounter("recovery.replayed_rows")->Value(),
+            uint64_t{1} << 16);
+  push(rec, kRows, kRows + kResumeRows);
+  take(rec, qids, &got);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(got[q], oracle[q]) << queries[q].first;
+  }
+}
+
 // The tentpole: enumerate every crash point of the scripted run (two
 // checkpoints, fsync=interval) under both loss styles and hold recovery
 // to the suffix + checkpoint-bound contract.

@@ -81,9 +81,7 @@ TEST_F(SchedulerTest, RemoveFactoryStopsFiring) {
 }
 
 TEST_F(SchedulerTest, ThreadedWorkersFireOnNotify) {
-  Scheduler::Options opts;
-  opts.num_workers = 2;
-  Scheduler sched(opts);
+  Scheduler sched(2);
   auto f1 = MakeFactory(1);
   auto f2 = MakeFactory(2);
   sched.AddFactory(f1);
@@ -143,9 +141,7 @@ TEST_F(SchedulerTest, ConcurrentAddRemoveUnderFire) {
   // A busy entry must never be destroyed mid-fire: workers fire factories
   // while another thread churns add/remove. TSan + repeat-until-fail in CI
   // make this a race hunt.
-  Scheduler::Options opts;
-  opts.num_workers = 4;
-  Scheduler sched(opts);
+  Scheduler sched(4);
   basket_->AddListener([&] { sched.Notify(); });
   sched.Start();
   std::atomic<bool> done{false};
@@ -176,9 +172,7 @@ TEST_F(SchedulerTest, ConcurrentAddRemoveUnderFire) {
 // relaunch workers that are still being joined.
 TEST_F(SchedulerTest, ConcurrentStopIsSingleJoin) {
   for (int round = 0; round < 20; ++round) {
-    Scheduler::Options opts;
-    opts.num_workers = 2;
-    Scheduler sched(opts);
+    Scheduler sched(2);
     auto f1 = MakeFactory(1);
     sched.AddFactory(f1);
     sched.Start();

@@ -44,38 +44,6 @@ TEST(MutexTest, MutexLockProvidesExclusion) {
   EXPECT_EQ(counter, 4000);
 }
 
-TEST(SharedMutexTest, ReadersShareWritersExclude) {
-  SharedMutex mu(LockRank::kLeaf);
-  int value = 0;
-  std::atomic<int> concurrent_readers{0};
-  std::atomic<int> max_concurrent{0};
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 3; ++i) {
-    threads.emplace_back([&] {
-      for (int j = 0; j < 200; ++j) {
-        ReaderLock lock(mu);
-        int now = ++concurrent_readers;
-        int prev = max_concurrent.load();
-        while (now > prev && !max_concurrent.compare_exchange_weak(prev, now)) {
-        }
-        --concurrent_readers;
-      }
-    });
-  }
-  threads.emplace_back([&] {
-    for (int j = 0; j < 200; ++j) {
-      WriterLock lock(mu);
-      ++value;
-    }
-  });
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(value, 200);
-  // Not guaranteed by the API, but with 3 readers hammering it the
-  // overlap is effectively certain; a regression to exclusive-only
-  // reader locks would show up here.
-  EXPECT_GE(max_concurrent.load(), 1);
-}
-
 TEST(CondVarTest, WaitNotify) {
   Mutex mu(LockRank::kLeaf);
   CondVar cv;
@@ -155,18 +123,6 @@ TEST(LockValidatorDeathTest, AbortsOnEqualRankReacquisition) {
       {
         MutexLock l1(mu);
         MutexLock l2(mu);
-      },
-      "lock rank inversion");
-}
-
-TEST(LockValidatorDeathTest, SharedAcquisitionChecksRankToo) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  SharedMutex reg(LockRank::kSchedRegistry);
-  Mutex monitor(LockRank::kMonitor);
-  EXPECT_DEATH(
-      {
-        ReaderLock l1(reg);      // rank 70, shared mode
-        MutexLock l2(monitor);   // rank 10: inversion
       },
       "lock rank inversion");
 }
