@@ -115,6 +115,30 @@ void Bat::AppendNull() {
   nulls_.push_back(1);
 }
 
+void Bat::SetNulls(std::vector<uint8_t> flags) {
+  while (!flags.empty() && flags.back() == 0) flags.pop_back();
+  for (uint64_t i = 0; i < flags.size(); ++i) {
+    if (flags[i] == 0) continue;
+    flags[i] = 1;
+    switch (type_) {
+      case TypeId::kBool:
+        bools_[i] = 0;
+        break;
+      case TypeId::kI64:
+      case TypeId::kTs:
+        ints_[i] = 0;
+        break;
+      case TypeId::kF64:
+        dbls_[i] = 0;
+        break;
+      case TypeId::kStr:
+        if (!StrAt(i).empty()) strs_[i] = heap_.Add("");
+        break;
+    }
+  }
+  nulls_ = std::move(flags);
+}
+
 void Bat::AppendValue(const Value& v) {
   if (v.is_null()) {
     AppendNull();

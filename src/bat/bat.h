@@ -93,6 +93,14 @@ class Bat {
   }
   /// True when any row may be NULL (the bitmap exists).
   bool has_nulls() const { return !nulls_.empty(); }
+  /// The NULL bitmap, one 0/1 byte per row; it may stop short of size()
+  /// (rows past its end are non-null) and is empty without NULLs.
+  std::span<const uint8_t> NullFlags() const { return nulls_; }
+  /// Installs a whole NULL bitmap at once (`flags.size() <= size()`,
+  /// nonzero = NULL), with the same result as building the column with
+  /// AppendNull for every flagged row: flagged rows hold the type's
+  /// zero, and a bitmap without NULLs is dropped.
+  void SetNulls(std::vector<uint8_t> flags);
 
   /// Boxed value at row `i` (edges: printing, tests, row assembly).
   Value GetValue(uint64_t i) const;

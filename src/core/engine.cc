@@ -854,8 +854,10 @@ Status Engine::InitDurability() {
   // as durable under any fsync policy that synced them).
   const std::string cat_path = d.dir + "/catalog.wal";
   storage::WalScan cat;
+  bool cat_found = false;
   if (Result<storage::WalScan> s = storage::ReadWalFile(cat_path); s.ok()) {
-    cat = *std::move(s);
+    cat = std::move(s).value();
+    cat_found = true;
   } else if (!s.status().IsNotFound()) {
     return s.status();
   }
@@ -864,7 +866,8 @@ Status Engine::InitDurability() {
   // 3. Replay the catalog log. CREATE STREAM additionally positions the
   // fresh basket at its WAL's head kReset (before any reader registers);
   // INSERTs into streams are skipped — their rows replay from the basket
-  // WALs with exact batch boundaries and post-clamp timestamps.
+  // WALs with exact batch boundaries and post-clamp timestamps. Each
+  // basket log is read once: step 6 reopens it from the same scan.
   std::vector<std::string> stream_order;
   std::map<std::string, storage::WalScan> basket_scans;
   // Each basket WAL's kReset start_seq: the truncation floor. Restored
@@ -893,21 +896,22 @@ Status Engine::InitDurability() {
             if (scan.status().IsNotFound()) continue;
             return scan.status();
           }
-          if (scan->records.empty()) continue;
-          if (scan->records[0].type != storage::WalRecordType::kReset) {
+          storage::WalScan& bs = basket_scans[create.name];
+          bs = std::move(scan).value();
+          if (bs.records.empty()) continue;
+          if (bs.records[0].type != storage::WalRecordType::kReset) {
             return Status::Internal(StrFormat(
                 "basket WAL %s does not start with kReset",
                 create.name.c_str()));
           }
           DC_ASSIGN_OR_RETURN(storage::WalReset reset,
-                              storage::DecodeReset(scan->records[0]));
+                              storage::DecodeReset(bs.records[0]));
           replay_base[create.name] = reset.start_seq;
           Basket* basket = GetBasket(create.name);
           if (basket == nullptr) return Status::Internal("basket missing");
           DC_RETURN_NOT_OK(basket->RestoreLogPosition(
               reset.start_seq, reset.next_ordinal, reset.watermark,
               reset.sealed));
-          basket_scans[create.name] = *std::move(scan);
         }
         replayed_records_->Add(1);
         break;
@@ -973,6 +977,7 @@ Status Engine::InitDurability() {
   // join indexes, and grid partials rebuild under their own invariants.
   // Pump() after every record keeps the replay deterministic and matches
   // the batch-at-a-time cadence the differential harness drives.
+  trace::Span replay_span("recovery.replay", "recovery");
   for (const std::string& name : stream_order) {
     auto sit = basket_scans.find(name);
     if (sit == basket_scans.end()) continue;
@@ -1024,6 +1029,7 @@ Status Engine::InitDurability() {
     }
   }
   Pump();
+  replay_span.set_arg(static_cast<int64_t>(replayed_rows_->Value()));
 
   // 5. The replayed data must bracket every restored cursor — a WAL that
   // scanned shorter than the progress a snapshot promised is unusable,
@@ -1077,14 +1083,17 @@ Status Engine::InitDurability() {
   DC_ASSIGN_OR_RETURN(
       catalog_wal_,
       storage::WalWriter::Open(wal_env_, cat_path, storage::FsyncPolicy::kAlways,
-                               /*fsync_interval=*/1, wal_counters_));
+                               /*fsync_interval=*/1, wal_counters_,
+                               cat_found ? &cat : nullptr));
   std::map<std::string, std::shared_ptr<Basket>> baskets;
   {
     MutexLock lock(mu_);
     baskets = baskets_;
   }
   for (const auto& [name, basket] : baskets) {
-    DC_RETURN_NOT_OK(AttachStreamWal(name, basket));
+    auto sit = basket_scans.find(name);
+    DC_RETURN_NOT_OK(AttachStreamWal(
+        name, basket, sit == basket_scans.end() ? nullptr : &sit->second));
   }
   {
     MutexLock dur(dur_mu_);
@@ -1097,18 +1106,15 @@ Status Engine::InitDurability() {
 }
 
 Status Engine::AttachStreamWal(const std::string& name,
-                               const std::shared_ptr<Basket>& basket) {
+                               const std::shared_ptr<Basket>& basket,
+                               const storage::WalScan* scan) {
   const EngineOptions::DurabilityOptions& d = options_.durability;
   const std::string path = d.dir + "/" + name + ".wal";
-  bool has_head = false;
-  if (Result<storage::WalScan> scan = storage::ReadWalFile(path);
-      scan.ok() && !scan->records.empty()) {
-    has_head = true;
-  }
+  const bool has_head = scan != nullptr && !scan->records.empty();
   DC_ASSIGN_OR_RETURN(
       std::unique_ptr<storage::WalWriter> writer,
       storage::WalWriter::Open(wal_env_, path, d.fsync,
-                               d.fsync_interval_batches, wal_counters_));
+                               d.fsync_interval_batches, wal_counters_, scan));
   if (!has_head) {
     // Fresh log: declare where it starts. (Always the basket's current
     // state — zero on CREATE STREAM, the replayed position if a corrupt

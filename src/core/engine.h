@@ -321,9 +321,11 @@ class Engine {
   /// stream basket and opens the catalog log.
   Status InitDurability();
   /// Opens `<dir>/<name>.wal` (writing a head kReset on a fresh log) and
-  /// installs the basket's durability hooks.
+  /// installs the basket's durability hooks. `scan` is recovery's read of
+  /// the existing log, or null when there was none.
   Status AttachStreamWal(const std::string& name,
-                         const std::shared_ptr<Basket>& basket);
+                         const std::shared_ptr<Basket>& basket,
+                         const storage::WalScan* scan = nullptr);
   /// Background checkpoint thread body (checkpoint_interval_ms > 0).
   void CheckpointLoop();
   /// Drops zero-subscriber shared nodes from the registry (their basket

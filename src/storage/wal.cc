@@ -7,10 +7,15 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
+#include <optional>
+#include <span>
 
+#include "monitor/trace.h"
 #include "util/string_util.h"
 
 namespace dc {
@@ -22,6 +27,12 @@ namespace {
 /// field must not trigger a gigabyte allocation).
 constexpr uint32_t kMaxRecordBytes = 1u << 30;
 
+/// Record frame header: {payload_len u32, crc32 u32}.
+constexpr size_t kWalFrameHeaderBytes = 8;
+
+/// kBatch header: {ordinal u64, begin_seq u64, rows u64}.
+constexpr size_t kBatchHeaderBytes = 24;
+
 /// Parent directory of `path` ("." when there is no separator), for the
 /// directory fsyncs that make renames and file creations durable.
 std::string DirName(const std::string& path) {
@@ -30,26 +41,71 @@ std::string DirName(const std::string& path) {
   return slash == 0 ? "/" : path.substr(0, slash);
 }
 
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+/// Host <-> little-endian word order (the identity on little-endian
+/// hosts). Loads and stores go through memcpy: WAL buffers are unaligned.
+template <typename T>
+T ToLittle(T v) {
+  if constexpr (kLittleEndian) {
+    return v;
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
+
+template <typename T>
+T LoadLittle(const void* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(v));
+  return ToLittle(v);
+}
+
+template <typename T>
+void StoreLittle(void* p, T v) {
+  v = ToLittle(v);
+  std::memcpy(p, &v, sizeof(v));
+}
+
+/// Slice-by-8 tables: t[0] is the bytewise IEEE table and t[k][b] the
+/// CRC register after byte b is followed by k zero bytes, so one 8-byte
+/// word folds in with eight independent lookups.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+const Crc32Tables& Crc32Slices() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < t.size(); ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n) {
-  const uint32_t* table = Crc32Table();
+  const Crc32Tables& t = Crc32Slices();
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLittle<uint32_t>(p) ^ c;
+    const uint32_t hi = LoadLittle<uint32_t>(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -189,23 +245,24 @@ WalEnv* WalEnv::Default() {
   return env;
 }
 
+
 // --------------------------------------------------------------------------
 // Encoder / decoder.
 // --------------------------------------------------------------------------
 
 void WalEncoder::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+  char b[sizeof(v)];
+  StoreLittle(b, v);
+  buf_.append(b, sizeof(b));
 }
 
 void WalEncoder::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+  char b[sizeof(v)];
+  StoreLittle(b, v);
+  buf_.append(b, sizeof(b));
 }
 
-void WalEncoder::PutF64(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
+void WalEncoder::PutF64(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
 
 void WalEncoder::PutStr(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
@@ -217,31 +274,21 @@ void WalEncoder::PutBytes(const void* data, size_t n) {
 }
 
 uint8_t WalDecoder::GetU8() {
-  if (!ok_ || pos_ + 1 > data_.size()) {
-    ok_ = false;
-    return 0;
-  }
-  return static_cast<uint8_t>(data_[pos_++]);
+  const std::string_view b = GetBytes(1);
+  return ok_ ? static_cast<uint8_t>(b[0]) : 0;
 }
 
 uint32_t WalDecoder::GetU32() {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(GetU8()) << (8 * i);
-  return ok_ ? v : 0;
+  const std::string_view b = GetBytes(sizeof(uint32_t));
+  return ok_ ? LoadLittle<uint32_t>(b.data()) : 0;
 }
 
 uint64_t WalDecoder::GetU64() {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(GetU8()) << (8 * i);
-  return ok_ ? v : 0;
+  const std::string_view b = GetBytes(sizeof(uint64_t));
+  return ok_ ? LoadLittle<uint64_t>(b.data()) : 0;
 }
 
-double WalDecoder::GetF64() {
-  const uint64_t bits = GetU64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return ok_ ? v : 0.0;
-}
+double WalDecoder::GetF64() { return std::bit_cast<double>(GetU64()); }
 
 std::string WalDecoder::GetStr() {
   const uint32_t n = GetU32();
@@ -249,7 +296,7 @@ std::string WalDecoder::GetStr() {
 }
 
 std::string_view WalDecoder::GetBytes(size_t n) {
-  if (!ok_ || pos_ + n > data_.size()) {
+  if (!ok_ || n > data_.size() - pos_) {
     ok_ = false;
     return {};
   }
@@ -262,6 +309,61 @@ std::string_view WalDecoder::GetBytes(size_t n) {
 // Column codec.
 // --------------------------------------------------------------------------
 
+namespace {
+
+/// Bytes EncodeBat writes for `b` (lets EncodeBatch reserve exactly).
+size_t EncodedBatBytes(const Bat& b) {
+  const uint64_t n = b.size();
+  size_t bytes = 1 + 8 + 1 + (b.has_nulls() ? n : 0);
+  switch (b.type()) {
+    case TypeId::kBool:
+      bytes += n;
+      break;
+    case TypeId::kI64:
+    case TypeId::kTs:
+    case TypeId::kF64:
+      bytes += n * 8;
+      break;
+    case TypeId::kStr:
+      for (uint64_t i = 0; i < n; ++i) bytes += 4 + b.StrAt(i).size();
+      break;
+  }
+  return bytes;
+}
+
+/// Appends 8-byte values as little-endian words: one bulk copy on
+/// little-endian hosts, a per-value byte swap elsewhere.
+template <typename T>
+void PutWords(WalEncoder& enc, std::span<const T> v) {
+  static_assert(sizeof(T) == 8);
+  if constexpr (kLittleEndian) {
+    enc.PutBytes(v.data(), v.size_bytes());
+  } else {
+    for (T x : v) enc.PutU64(std::bit_cast<uint64_t>(x));
+  }
+}
+
+/// Reads `n` little-endian 8-byte words into a fresh vector (the inverse
+/// of PutWords); empty on underflow, with `dec` latched !ok().
+template <typename T>
+std::vector<T> GetWords(WalDecoder& dec, uint64_t n) {
+  static_assert(sizeof(T) == 8);
+  const std::string_view raw = dec.GetBytes(n * sizeof(T));
+  std::vector<T> out;
+  if (!dec.ok() || n == 0) return out;
+  out.resize(n);
+  if constexpr (kLittleEndian) {
+    std::memcpy(out.data(), raw.data(), raw.size());
+  } else {
+    for (uint64_t i = 0; i < n; ++i) {
+      out[i] = std::bit_cast<T>(LoadLittle<uint64_t>(raw.data() + 8 * i));
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 void EncodeBat(WalEncoder& enc, const Bat& b) {
   const uint64_t n = b.size();
   enc.PutU8(static_cast<uint8_t>(b.type()));
@@ -269,7 +371,12 @@ void EncodeBat(WalEncoder& enc, const Bat& b) {
   const bool nulls = b.has_nulls();
   enc.PutU8(nulls ? 1 : 0);
   if (nulls) {
-    for (uint64_t i = 0; i < n; ++i) enc.PutU8(b.IsNull(i) ? 1 : 0);
+    // The bitmap holds 0/1 per row and may stop short of n (rows past
+    // its end are non-null).
+    const std::span<const uint8_t> flags = b.NullFlags();
+    const size_t k = std::min<size_t>(flags.size(), n);
+    enc.PutBytes(flags.data(), k);
+    enc.PutZeros(n - k);
   }
   switch (b.type()) {
     case TypeId::kBool:
@@ -277,10 +384,10 @@ void EncodeBat(WalEncoder& enc, const Bat& b) {
       break;
     case TypeId::kI64:
     case TypeId::kTs:
-      for (int64_t v : b.I64Data()) enc.PutI64(v);
+      PutWords(enc, b.I64Data());
       break;
     case TypeId::kF64:
-      for (double v : b.F64Data()) enc.PutF64(v);
+      PutWords(enc, b.F64Data());
       break;
     case TypeId::kStr:
       for (uint64_t i = 0; i < n; ++i) enc.PutStr(b.StrAt(i));
@@ -299,50 +406,35 @@ Result<BatPtr> DecodeBat(WalDecoder& dec) {
     return Status::ParseError("wal: implausible column length");
   }
   const TypeId type = static_cast<TypeId>(type_raw);
-  std::vector<uint8_t> null_flags;
-  if (nulls) {
-    null_flags.resize(n);
-    for (uint64_t i = 0; i < n; ++i) null_flags[i] = dec.GetU8();
-  }
-  BatPtr out = Bat::MakeEmpty(type);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (nulls && null_flags[i]) {
-      // Consume the zero payload the encoder wrote, then append NULL.
-      switch (type) {
-        case TypeId::kBool:
-          dec.GetU8();
-          break;
-        case TypeId::kI64:
-        case TypeId::kTs:
-          dec.GetI64();
-          break;
-        case TypeId::kF64:
-          dec.GetF64();
-          break;
-        case TypeId::kStr:
-          dec.GetStr();
-          break;
+  std::string_view flags;
+  if (nulls) flags = dec.GetBytes(n);
+  BatPtr out;
+  switch (type) {
+    case TypeId::kBool: {
+      const std::string_view raw = dec.GetBytes(n);
+      std::vector<uint8_t> v(raw.begin(), raw.end());
+      for (uint8_t& x : v) x = x != 0 ? 1 : 0;
+      out = Bat::MakeBool(std::move(v));
+      break;
+    }
+    case TypeId::kI64:
+      out = Bat::MakeI64(GetWords<int64_t>(dec, n));
+      break;
+    case TypeId::kTs:
+      out = Bat::MakeTs(GetWords<int64_t>(dec, n));
+      break;
+    case TypeId::kF64:
+      out = Bat::MakeF64(GetWords<double>(dec, n));
+      break;
+    case TypeId::kStr:
+      out = Bat::MakeEmpty(type);
+      for (uint64_t i = 0; i < n && dec.ok(); ++i) {
+        out->AppendStr(dec.GetBytes(dec.GetU32()));
       }
-      out->AppendNull();
-      continue;
-    }
-    switch (type) {
-      case TypeId::kBool:
-        out->AppendBool(dec.GetU8() != 0);
-        break;
-      case TypeId::kI64:
-      case TypeId::kTs:
-        out->AppendI64(dec.GetI64());
-        break;
-      case TypeId::kF64:
-        out->AppendF64(dec.GetF64());
-        break;
-      case TypeId::kStr:
-        out->AppendStr(dec.GetStr());
-        break;
-    }
+      break;
   }
   if (!dec.ok()) return Status::ParseError("wal: truncated column payload");
+  if (nulls) out->SetNulls(std::vector<uint8_t>(flags.begin(), flags.end()));
   return out;
 }
 
@@ -352,12 +444,12 @@ Result<BatPtr> DecodeBat(WalDecoder& dec) {
 
 namespace {
 
-std::string WithType(WalRecordType t, WalEncoder enc) {
-  WalEncoder out;
-  out.PutU8(static_cast<uint8_t>(t));
-  const std::string body = enc.Take();
-  out.PutBytes(body.data(), body.size());
-  return out.Take();
+/// A payload encoder that starts with the record type byte, so record
+/// bodies are written once, in place.
+WalEncoder Typed(WalRecordType t) {
+  WalEncoder enc;
+  enc.PutU8(static_cast<uint8_t>(t));
+  return enc;
 }
 
 Result<WalDecoder> BodyDecoder(const WalRecord& rec, WalRecordType want) {
@@ -365,46 +457,69 @@ Result<WalDecoder> BodyDecoder(const WalRecord& rec, WalRecordType want) {
   return WalDecoder(rec.body);
 }
 
+/// Reads the fixed kBatch header {ordinal, begin_seq, rows}, leaving
+/// `dec` at the column count.
+Status GetBatchHeader(WalDecoder& dec, WalBatch& b) {
+  b.ordinal = dec.GetU64();
+  b.begin_seq = dec.GetU64();
+  b.rows = dec.GetU64();
+  if (!dec.ok()) return Status::ParseError("wal: malformed batch header");
+  return Status::OK();
+}
+
+/// Writes the frame of `payload` into `out` (replacing its contents).
+void FrameInto(std::string_view payload, uint32_t crc, std::string& out) {
+  char hdr[kWalFrameHeaderBytes];
+  StoreLittle(hdr, static_cast<uint32_t>(payload.size()));
+  StoreLittle(hdr + 4, crc);
+  out.clear();
+  out.reserve(sizeof(hdr) + payload.size());
+  out.append(hdr, sizeof(hdr));
+  out.append(payload);
+}
+
 }  // namespace
 
 std::string EncodeReset(const WalReset& r) {
-  WalEncoder enc;
+  WalEncoder enc = Typed(WalRecordType::kReset);
   enc.PutU64(r.start_seq);
   enc.PutU64(r.next_ordinal);
   enc.PutI64(r.watermark);
   enc.PutU8(r.sealed ? 1 : 0);
-  return WithType(WalRecordType::kReset, std::move(enc));
+  return enc.Take();
 }
 
 std::string EncodeBatch(uint64_t ordinal, uint64_t begin_seq, uint64_t rows,
                         const std::vector<BatPtr>& cols) {
+  size_t bytes = 1 + kBatchHeaderBytes + 4;
+  for (const BatPtr& c : cols) bytes += EncodedBatBytes(*c);
   WalEncoder enc;
+  enc.Reserve(bytes);
+  enc.PutU8(static_cast<uint8_t>(WalRecordType::kBatch));
   enc.PutU64(ordinal);
   enc.PutU64(begin_seq);
   enc.PutU64(rows);
   enc.PutU32(static_cast<uint32_t>(cols.size()));
   for (const BatPtr& c : cols) EncodeBat(enc, *c);
-  return WithType(WalRecordType::kBatch, std::move(enc));
+  return enc.Take();
 }
 
 std::string EncodeHeartbeat(int64_t ts) {
-  WalEncoder enc;
+  WalEncoder enc = Typed(WalRecordType::kHeartbeat);
   enc.PutI64(ts);
-  return WithType(WalRecordType::kHeartbeat, std::move(enc));
+  return enc.Take();
 }
 
-std::string EncodeSeal() {
-  return WithType(WalRecordType::kSeal, WalEncoder());
-}
+std::string EncodeSeal() { return Typed(WalRecordType::kSeal).Take(); }
 
 std::string EncodeStatement(std::string_view sql) {
-  WalEncoder enc;
+  WalEncoder enc = Typed(WalRecordType::kStatement);
   enc.PutStr(sql);
-  return WithType(WalRecordType::kStatement, std::move(enc));
+  return enc.Take();
 }
 
 std::string EncodeSubmit(const WalSubmit& s) {
-  WalEncoder enc;
+  WalEncoder enc = Typed(WalRecordType::kSubmit);
   enc.PutU64(s.token);
   enc.PutStr(s.sql);
   enc.PutU8(s.mode);
@@ -414,13 +529,13 @@ std::string EncodeSubmit(const WalSubmit& s) {
   enc.PutU64(s.batch_cursor);
   enc.PutStr(s.node_label);
   enc.PutU64(s.node_origin);
-  return WithType(WalRecordType::kSubmit, std::move(enc));
+  return enc.Take();
 }
 
 std::string EncodeRemove(uint64_t token) {
-  WalEncoder enc;
+  WalEncoder enc = Typed(WalRecordType::kRemove);
   enc.PutU64(token);
-  return WithType(WalRecordType::kRemove, std::move(enc));
+  return enc.Take();
 }
 
 Result<WalReset> DecodeReset(const WalRecord& rec) {
@@ -437,9 +552,7 @@ Result<WalReset> DecodeReset(const WalRecord& rec) {
 Result<WalBatch> DecodeBatch(const WalRecord& rec) {
   DC_ASSIGN_OR_RETURN(WalDecoder dec, BodyDecoder(rec, WalRecordType::kBatch));
   WalBatch b;
-  b.ordinal = dec.GetU64();
-  b.begin_seq = dec.GetU64();
-  b.rows = dec.GetU64();
+  DC_RETURN_NOT_OK(GetBatchHeader(dec, b));
   const uint32_t ncols = dec.GetU32();
   if (!dec.ok() || ncols > 4096) {
     return Status::ParseError("wal: malformed batch header");
@@ -499,26 +612,62 @@ Result<uint64_t> DecodeRemove(const WalRecord& rec) {
   return token;
 }
 
+
 // --------------------------------------------------------------------------
 // File scan.
 // --------------------------------------------------------------------------
 
 std::string FrameRecord(std::string_view payload) {
-  WalEncoder enc;
-  enc.PutU32(static_cast<uint32_t>(payload.size()));
-  enc.PutU32(Crc32(payload.data(), payload.size()));
-  enc.PutBytes(payload.data(), payload.size());
-  return enc.Take();
+  std::string out;
+  FrameInto(payload, Crc32(payload.data(), payload.size()), out);
+  return out;
 }
 
-Result<WalScan> ReadWalFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::NotFound(StrFormat("wal file %s not found", path.c_str()));
+namespace {
+
+/// The whole file at `path`, read with one sized read.
+Result<std::shared_ptr<std::string>> ReadWholeFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) {
+      return Status::NotFound(StrFormat("wal file %s not found", path.c_str()));
+    }
+    return Status::Internal(
+        StrFormat("open %s failed: %s", path.c_str(), std::strerror(errno)));
   }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    return Status::Internal(
+        StrFormat("stat %s failed: %s", path.c_str(), std::strerror(errno)));
+  }
+  auto data = std::make_shared<std::string>();
+  data->resize(static_cast<size_t>(st.st_size));
+  size_t got = 0;
+  while (got < data->size()) {
+    const ssize_t n = ::read(fd, data->data() + got, data->size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return Status::Internal(
+          StrFormat("read %s failed: %s", path.c_str(), std::strerror(errno)));
+    }
+    if (n == 0) break;  // shrank since the stat: scan what is there
+    got += static_cast<size_t>(n);
+  }
+  data->resize(got);
+  return data;
+}
+
+}  // namespace
+
+Result<WalScan> ReadWalFile(const std::string& path) {
+  DC_ASSIGN_OR_RETURN(std::shared_ptr<std::string> file, ReadWholeFile(path));
+  const std::string_view data = *file;
   WalScan scan;
+  scan.data = std::move(file);
   if (data.size() < sizeof(kWalMagic) ||
       std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
     scan.valid_bytes = 0;
@@ -527,19 +676,19 @@ Result<WalScan> ReadWalFile(const std::string& path) {
   }
   size_t pos = sizeof(kWalMagic);
   scan.valid_bytes = pos;
-  while (pos < data.size()) {
-    if (pos + 8 > data.size()) break;
-    WalDecoder hdr(std::string_view(data).substr(pos, 8));
-    const uint32_t len = hdr.GetU32();
-    const uint32_t crc = hdr.GetU32();
-    if (len == 0 || len > kMaxRecordBytes || pos + 8 + len > data.size()) break;
-    const std::string_view payload = std::string_view(data).substr(pos + 8, len);
+  while (data.size() - pos >= kWalFrameHeaderBytes) {
+    const uint32_t len = LoadLittle<uint32_t>(data.data() + pos);
+    const uint32_t crc = LoadLittle<uint32_t>(data.data() + pos + 4);
+    const size_t start = pos + kWalFrameHeaderBytes;
+    if (len == 0 || len > kMaxRecordBytes || len > data.size() - start) break;
+    const std::string_view payload = data.substr(start, len);
     if (Crc32(payload.data(), payload.size()) != crc) break;
     WalRecord rec;
     rec.type = static_cast<WalRecordType>(static_cast<uint8_t>(payload[0]));
-    rec.body = std::string(payload.substr(1));
-    scan.records.push_back(std::move(rec));
-    pos += 8 + len;
+    rec.body = payload.substr(1);
+    rec.offset = pos;
+    scan.records.push_back(rec);
+    pos = start + len;
     scan.valid_bytes = pos;
   }
   scan.clean_tail = scan.valid_bytes == data.size();
@@ -554,21 +703,24 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalEnv* env,
                                                    std::string path,
                                                    FsyncPolicy policy,
                                                    int fsync_interval,
-                                                   WalCounters counters) {
-  bool fresh = !env->FileExists(path);
+                                                   WalCounters counters,
+                                                   const WalScan* scan) {
+  bool fresh = scan == nullptr && !env->FileExists(path);
   if (!fresh) {
     // Drop a corrupt tail so new records extend the valid prefix. The
     // scan reads the real file: anything a simulated crash never
     // persisted is (correctly) not there.
-    Result<WalScan> scan = ReadWalFile(path);
-    if (scan.ok()) {
-      if (scan.value().valid_bytes == 0) {
-        fresh = true;  // no valid magic — rewrite from scratch
-      } else if (!scan.value().clean_tail) {
-        DC_RETURN_NOT_OK(env->TruncateFile(path, scan.value().valid_bytes));
+    std::optional<WalScan> reread;
+    if (scan == nullptr) {
+      if (Result<WalScan> r = ReadWalFile(path); r.ok()) {
+        reread = std::move(r).value();
+        scan = &*reread;
       }
-    } else {
-      fresh = true;
+    }
+    if (scan == nullptr || scan->valid_bytes == 0) {
+      fresh = true;  // unreadable or no valid magic — rewrite from scratch
+    } else if (!scan->clean_tail) {
+      DC_RETURN_NOT_OK(env->TruncateFile(path, scan->valid_bytes));
     }
   }
   std::unique_ptr<WalWriter> w(new WalWriter(
@@ -592,12 +744,15 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalEnv* env,
 }
 
 Status WalWriter::Append(std::string_view payload) {
-  const std::string framed = FrameRecord(payload);
+  trace::Span span("wal.append", "wal",
+                   static_cast<int64_t>(kWalFrameHeaderBytes + payload.size()));
+  const uint32_t crc = Crc32(payload.data(), payload.size());
   MutexLock lock(mu_);
   if (file_ == nullptr) return Status::Internal("wal writer closed");
-  DC_RETURN_NOT_OK(file_->Append(framed));
+  FrameInto(payload, crc, frame_);
+  DC_RETURN_NOT_OK(file_->Append(frame_));
   if (counters_.records) counters_.records->Add(1);
-  if (counters_.bytes) counters_.bytes->Add(framed.size());
+  if (counters_.bytes) counters_.bytes->Add(frame_.size());
   switch (policy_) {
     case FsyncPolicy::kNever:
       break;
@@ -618,6 +773,7 @@ Status WalWriter::Sync() {
 }
 
 Status WalWriter::SyncLocked() {
+  trace::Span span("wal.fsync", "wal");
   DC_RETURN_NOT_OK(file_->Sync());
   unsynced_ = 0;
   if (counters_.syncs) counters_.syncs->Add(1);
@@ -625,6 +781,7 @@ Status WalWriter::SyncLocked() {
 }
 
 Status WalWriter::TruncateTo(uint64_t horizon) {
+  trace::Span span("wal.truncate", "wal");
   MutexLock lock(mu_);
   if (file_ == nullptr) return Status::Internal("wal writer closed");
   // Flush so the rewrite below sees every record appended so far.
@@ -635,7 +792,9 @@ Status WalWriter::TruncateTo(uint64_t horizon) {
   // watermarks fold exactly; dropped batch timestamps need no folding
   // because the basket clamps appends to be globally non-decreasing, so
   // any surviving row revives at least the dropped rows' watermark (see
-  // docs/DURABILITY.md, "Truncation").
+  // docs/DURABILITY.md, "Truncation"). A batch needs only its header:
+  // the scan already CRC-checked every frame, and dropped columns are
+  // never read again.
   WalReset reset;
   size_t keep_from = scan.records.size();
   for (size_t i = 0; i < scan.records.size(); ++i) {
@@ -654,7 +813,9 @@ Status WalWriter::TruncateTo(uint64_t horizon) {
       continue;
     }
     if (rec.type == WalRecordType::kBatch) {
-      DC_ASSIGN_OR_RETURN(WalBatch b, DecodeBatch(rec));
+      WalDecoder dec(rec.body);
+      WalBatch b;
+      DC_RETURN_NOT_OK(GetBatchHeader(dec, b));
       const uint64_t end_seq = b.begin_seq + b.rows;
       const bool droppable =
           b.rows > 0 ? end_seq <= horizon : b.begin_seq < horizon;
@@ -670,19 +831,20 @@ Status WalWriter::TruncateTo(uint64_t horizon) {
     keep_from = i;
     break;
   }
+  // The kept records' frames, byte for byte as the scan validated them.
+  std::string_view kept;
+  if (keep_from < scan.records.size()) {
+    const uint64_t from = scan.records[keep_from].offset;
+    kept = std::string_view(*scan.data).substr(from, scan.valid_bytes - from);
+  }
+  span.set_arg(static_cast<int64_t>(kept.size()));
 
   const std::string tmp = path_ + ".tmp";
   DC_ASSIGN_OR_RETURN(std::unique_ptr<WalFile> out,
                       env_->Open(tmp, /*truncate=*/true));
   DC_RETURN_NOT_OK(out->Append(std::string_view(kWalMagic, sizeof(kWalMagic))));
   DC_RETURN_NOT_OK(out->Append(FrameRecord(EncodeReset(reset))));
-  for (size_t i = keep_from; i < scan.records.size(); ++i) {
-    const WalRecord& rec = scan.records[i];
-    std::string payload;
-    payload.push_back(static_cast<char>(rec.type));
-    payload.append(rec.body);
-    DC_RETURN_NOT_OK(out->Append(FrameRecord(payload)));
-  }
+  if (!kept.empty()) DC_RETURN_NOT_OK(out->Append(kept));
   DC_RETURN_NOT_OK(out->Sync());
   DC_RETURN_NOT_OK(out->Close());
   DC_RETURN_NOT_OK(file_->Close());

@@ -35,7 +35,9 @@
 namespace dc {
 namespace storage {
 
-/// IEEE CRC32 over `n` bytes (table-based, no dependencies).
+/// IEEE CRC32 (reflected polynomial 0xEDB88320) over `n` bytes,
+/// slice-by-8: eight table lookups per 8-byte word. Values match the
+/// bytewise definition exactly, so existing logs keep verifying.
 uint32_t Crc32(const void* data, size_t n);
 
 // --------------------------------------------------------------------------
@@ -105,15 +107,19 @@ enum class WalRecordType : uint8_t {
   kRemove = 12,     // {token u64}
 };
 
-/// One decoded record: the type tag plus the payload bytes after it.
+/// One scanned record: the type tag plus the payload bytes after it.
+/// `body` views the owning WalScan's buffer (WalScan::data), so a record
+/// is valid only while some copy of its scan is alive.
 struct WalRecord {
   WalRecordType type = WalRecordType::kReset;
-  std::string body;
+  std::string_view body;
+  uint64_t offset = 0;  // file offset of the record's frame header
 };
 
 /// Little-endian append-only byte sink used by all record codecs.
 class WalEncoder {
  public:
+  void Reserve(size_t n) { buf_.reserve(n); }
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
@@ -121,6 +127,7 @@ class WalEncoder {
   void PutF64(double v);
   void PutStr(std::string_view s);  // u32 length prefix + bytes
   void PutBytes(const void* data, size_t n);
+  void PutZeros(size_t n) { buf_.append(n, '\0'); }
   std::string Take() { return std::move(buf_); }
   const std::string& buf() const { return buf_; }
 
@@ -128,8 +135,9 @@ class WalEncoder {
   std::string buf_;
 };
 
-/// Bounds-checked little-endian reader; underflow latches ok()==false
-/// and all further Gets return zero values.
+/// Bounds-checked little-endian reader (memcpy loads, so any alignment
+/// is fine); underflow latches ok()==false and all further Gets return
+/// zero values.
 class WalDecoder {
  public:
   explicit WalDecoder(std::string_view data) : data_(data) {}
@@ -149,9 +157,13 @@ class WalDecoder {
   bool ok_ = true;
 };
 
-/// Serializes one column (values + null bitmap) for a kBatch record.
+/// Serializes one column for a kBatch record: {type u8, n u64,
+/// has_nulls u8, [n null flags u8], values} with fixed-width values as
+/// n little-endian words and strings as n length-prefixed byte runs.
+/// Little-endian hosts copy fixed-width columns in bulk.
 void EncodeBat(WalEncoder& enc, const Bat& b);
-/// Decodes one column; nullptr Result on malformed input.
+/// Decodes one column (fixed-width columns in bulk); error on malformed
+/// input.
 Result<BatPtr> DecodeBat(WalDecoder& dec);
 
 /// kReset payload: where the log starts and the basket state (watermark,
@@ -211,16 +223,20 @@ inline constexpr char kWalMagic[8] = {'D', 'C', 'W', 'A', 'L', '0', '0', '1'};
 /// Result of scanning a log file: every record up to the first invalid
 /// byte, the length of that valid prefix, and whether the scan consumed
 /// the whole file (clean_tail == false means a torn/corrupt tail was
-/// dropped at `valid_bytes`).
+/// dropped at `valid_bytes`). `data` holds the file's bytes; the record
+/// bodies view into it, and it lives on the heap, so moving or copying
+/// the scan leaves them valid.
 struct WalScan {
   std::vector<WalRecord> records;
   uint64_t valid_bytes = 0;
   bool clean_tail = true;
+  std::shared_ptr<const std::string> data;
 };
 
-/// Reads a log file from the real filesystem (recovery always reads what
-/// actually survived). Missing file -> NotFound. A file without a valid
-/// magic scans as zero records with valid_bytes == 0.
+/// Reads a log file from the real filesystem in one sized read (recovery
+/// always reads what actually survived) and CRC-checks every frame.
+/// Missing file -> NotFound. A file without a valid magic scans as zero
+/// records with valid_bytes == 0.
 Result<WalScan> ReadWalFile(const std::string& path);
 
 // --------------------------------------------------------------------------
@@ -247,12 +263,16 @@ class WalWriter {
   /// Opens `path` for appending. A missing file is created with the
   /// magic header; an existing file with a corrupt tail is truncated to
   /// its valid prefix first so new appends extend the good bytes.
+  /// `scan`, when given, is the caller's ReadWalFile(path) of the
+  /// existing file (recovery has just replayed it) and saves a re-read.
   static Result<std::unique_ptr<WalWriter>> Open(WalEnv* env, std::string path,
                                                  FsyncPolicy policy,
                                                  int fsync_interval,
-                                                 WalCounters counters);
+                                                 WalCounters counters,
+                                                 const WalScan* scan = nullptr);
 
-  /// Appends one framed record and applies the fsync policy.
+  /// Appends one framed record (one WalFile::Append of header plus
+  /// payload, framed in a reused buffer) and applies the fsync policy.
   Status Append(std::string_view payload);
 
   /// Forces all appended records durable regardless of policy.
@@ -260,8 +280,10 @@ class WalWriter {
 
   /// Rewrites the log, dropping every batch wholly below `horizon` and
   /// folding the dropped prefix (watermark advances, ordinal/seq
-  /// positions, seal) into a fresh kReset head record. Atomic via
-  /// tmp + rename; the writer continues on the rewritten file.
+  /// positions, seal) into a fresh kReset head record. Only each batch's
+  /// 24-byte header is decoded; the kept suffix is copied verbatim (its
+  /// frames were CRC-checked by the scan). Atomic via tmp + rename; the
+  /// writer continues on the rewritten file.
   Status TruncateTo(uint64_t horizon);
 
   const std::string& path() const { return path_; }
@@ -286,6 +308,8 @@ class WalWriter {
   Mutex mu_{LockRank::kWal};
   std::unique_ptr<WalFile> file_ DC_GUARDED_BY(mu_);
   int unsynced_ DC_GUARDED_BY(mu_) = 0;
+  // Frame buffer reused by Append: grows to the largest record once.
+  std::string frame_ DC_GUARDED_BY(mu_);
 };
 
 }  // namespace storage

@@ -111,6 +111,36 @@ TEST(BatTest, AppendValueCoercesNumeric) {
   EXPECT_EQ(dst.F64Data()[0], 3.0);
 }
 
+TEST(BatTest, SetNullsMatchesAppendNull) {
+  // Built row by row: 7, NULL, 9 (the NULL row stores 0).
+  auto want = Bat::MakeEmpty(TypeId::kI64);
+  want->AppendI64(7);
+  want->AppendNull();
+  want->AppendI64(9);
+  // Bulk: payload with a nonzero value under the NULL, trailing zeros.
+  auto got = Bat::MakeI64({7, 42, 9});
+  got->SetNulls({0, 3, 0});
+  ASSERT_EQ(got->size(), 3u);
+  EXPECT_TRUE(got->IsNull(1));
+  EXPECT_EQ(got->I64Data()[1], 0);
+  EXPECT_EQ(got->NullFlags().size(), want->NullFlags().size());
+  for (uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(got->IsNull(i), want->IsNull(i));
+    EXPECT_EQ(got->I64Data()[i], want->I64Data()[i]);
+  }
+
+  auto str = Bat::MakeStr({"a", "b"});
+  str->SetNulls({1});
+  EXPECT_TRUE(str->IsNull(0));
+  EXPECT_EQ(str->StrAt(0), "");
+  EXPECT_EQ(str->StrAt(1), "b");
+
+  // An all-zero bitmap leaves the column without NULLs.
+  auto none = Bat::MakeF64({1.5, 2.5});
+  none->SetNulls({0, 0});
+  EXPECT_FALSE(none->has_nulls());
+}
+
 TEST(CandidatesTest, DenseRange) {
   auto c = Candidates::Range(5, 3);
   EXPECT_TRUE(c.is_dense());

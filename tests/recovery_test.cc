@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -32,6 +34,7 @@
 #include "tests/crash_util.h"
 #include "tests/durability_workload.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 #include "util/string_util.h"
 
 // Full crash-point enumeration is cheap in a normal build but 10-20x
@@ -202,6 +205,160 @@ TEST(WalCodec, TornAndGarbageTailsScanToTheValidPrefix) {
   EXPECT_EQ(*hb, 99);
 
   RemoveDirRecursive(dir);
+}
+
+std::string Hex(std::string_view bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+/// The kBatch fixture for the golden-bytes and round-trip tests: every
+/// column type without NULLs, the same types with NULLs at the front,
+/// middle and back, and a 0-row batch.
+struct CodecFixture {
+  uint64_t ordinal, begin_seq, rows;
+  std::vector<BatPtr> cols;
+};
+
+std::vector<CodecFixture> CodecFixtures() {
+  std::vector<CodecFixture> out;
+  out.push_back({3, 40, 3,
+                 {Bat::MakeI64({1, -2, INT64_MAX}),
+                  Bat::MakeTs({1000, 2000, 3000}),
+                  Bat::MakeF64({0.5, -1.25, 1e300}), Bat::MakeBool({1, 0, 1}),
+                  Bat::MakeStr({"a", "", "hello wal"})}});
+  auto i = Bat::MakeEmpty(TypeId::kI64);
+  i->AppendI64(7);
+  i->AppendNull();
+  i->AppendI64(9);
+  auto t = Bat::MakeEmpty(TypeId::kTs);
+  t->AppendNull();
+  t->AppendI64(5);
+  t->AppendI64(6);
+  auto f = Bat::MakeEmpty(TypeId::kF64);
+  f->AppendF64(1.5);
+  f->AppendF64(2.5);
+  f->AppendNull();
+  auto b = Bat::MakeEmpty(TypeId::kBool);
+  b->AppendNull();
+  b->AppendBool(true);
+  b->AppendBool(false);
+  auto s = Bat::MakeEmpty(TypeId::kStr);
+  s->AppendStr("x");
+  s->AppendNull();
+  s->AppendStr("z");
+  out.push_back({4, 43, 3, {i, t, f, b, s}});
+  out.push_back({5, 46, 0,
+                 {Bat::MakeEmpty(TypeId::kI64), Bat::MakeEmpty(TypeId::kStr)}});
+  return out;
+}
+
+TEST(WalCodec, Crc32KnownAnswer) {
+  EXPECT_EQ(storage::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(storage::Crc32("", 0), 0u);
+}
+
+TEST(WalCodec, SliceBy8MatchesBytewiseReference) {
+  // The original bytewise IEEE CRC32 — the definition every existing
+  // DCWAL001 frame was checksummed with.
+  auto reference = [](const unsigned char* p, size_t n) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  Rng rng(7);
+  std::vector<unsigned char> buf(4096 + 8);
+  for (unsigned char& c : buf) c = static_cast<unsigned char>(rng.Next());
+  for (size_t align = 0; align < 8; ++align) {
+    for (int trial = 0; trial < 64; ++trial) {
+      const size_t n = trial < 17 ? static_cast<size_t>(trial)
+                                  : static_cast<size_t>(rng.Next() % 4097);
+      const unsigned char* p = buf.data() + align;
+      ASSERT_EQ(storage::Crc32(p, n), reference(p, n))
+          << "align " << align << " length " << n;
+    }
+  }
+}
+
+TEST(WalCodec, BatchEncodingMatchesGoldenBytes) {
+  // Hex of EncodeBatch for CodecFixtures(), as written by the bytewise
+  // encoder that produced every existing DCWAL001 log.
+  const std::vector<std::string> golden = {
+      "0203000000000000002800000000000000030000000000000005000000010300000000"
+      "000000000100000000000000feffffffffffffffffffffffffffff7f04030000000000"
+      "000000e803000000000000d007000000000000b80b0000000000000203000000000000"
+      "0000000000000000e03f000000000000f4bf9c7500883ce4377e000300000000000000"
+      "00010001030300000000000000000100000061000000000900000068656c6c6f207761"
+      "6c",
+      "0204000000000000002b00000000000000030000000000000005000000010300000000"
+      "0000000100010007000000000000000000000000000000090000000000000004030000"
+      "0000000000010100000000000000000000050000000000000006000000000000000203"
+      "0000000000000001000001000000000000f83f00000000000004400000000000000000"
+      "0003000000000000000101000000010003030000000000000001000100010000007800"
+      "000000010000007a",
+      "0205000000000000002e00000000000000000000000000000002000000010000000000"
+      "0000000003000000000000000000",
+  };
+  const std::vector<CodecFixture> fixtures = CodecFixtures();
+  ASSERT_EQ(fixtures.size(), golden.size());
+  for (size_t k = 0; k < fixtures.size(); ++k) {
+    const CodecFixture& fx = fixtures[k];
+    EXPECT_EQ(Hex(storage::EncodeBatch(fx.ordinal, fx.begin_seq, fx.rows,
+                                       fx.cols)),
+              golden[k])
+        << "fixture " << k;
+  }
+  // The frame around it: [len][crc] from the same writer.
+  EXPECT_EQ(Hex(storage::FrameRecord(storage::EncodeBatch(
+                    3, 40, 3, fixtures[0].cols)))
+                .substr(0, 16),
+            "b00000007efa5c6a");
+}
+
+TEST(WalCodec, BatchDecodeRoundTripsFromAnOddOffset) {
+  for (const CodecFixture& fx : CodecFixtures()) {
+    const std::string payload =
+        storage::EncodeBatch(fx.ordinal, fx.begin_seq, fx.rows, fx.cols);
+    // Place the body (payload minus its type byte) at an address that is
+    // 1 mod 8, so every 8-byte column load is misaligned.
+    std::vector<char> buf(payload.size() + 16);
+    const auto addr = reinterpret_cast<uintptr_t>(buf.data());
+    const size_t off = (9 - addr % 8) % 8;
+    std::copy(payload.begin() + 1, payload.end(), buf.begin() + off);
+    storage::WalRecord rec;
+    rec.type = storage::WalRecordType::kBatch;
+    rec.body = std::string_view(buf.data() + off, payload.size() - 1);
+
+    auto b = storage::DecodeBatch(rec);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(b->ordinal, fx.ordinal);
+    EXPECT_EQ(b->begin_seq, fx.begin_seq);
+    EXPECT_EQ(b->rows, fx.rows);
+    ASSERT_EQ(b->cols.size(), fx.cols.size());
+    for (size_t c = 0; c < fx.cols.size(); ++c) {
+      const Bat& want = *fx.cols[c];
+      const Bat& got = *b->cols[c];
+      ASSERT_EQ(got.type(), want.type());
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(got.has_nulls(), want.has_nulls());
+      for (uint64_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(got.IsNull(r), want.IsNull(r)) << "col " << c << " row " << r;
+        EXPECT_EQ(got.GetValue(r).ToString(), want.GetValue(r).ToString())
+            << "col " << c << " row " << r;
+      }
+    }
+    // Decode then encode reproduces the bytes.
+    EXPECT_EQ(storage::EncodeBatch(b->ordinal, b->begin_seq, b->rows, b->cols),
+              payload);
+  }
 }
 
 TEST(SnapshotFiles, AtomicRotationWithPrevFallback) {

@@ -2,7 +2,8 @@
 // instant recording, ring-buffer overwrite, per-thread tids, the Chrome
 // trace_event JSON dump, and the engine integration (factory fire /
 // basket append / emitter drain spans appear when
-// EngineOptions::enable_tracing is set).
+// EngineOptions::enable_tracing is set, and the WAL / recovery spans
+// appear in a durable run).
 
 #include <string>
 #include <thread>
@@ -12,6 +13,7 @@
 
 #include "core/engine.h"
 #include "monitor/trace.h"
+#include "tests/crash_util.h"
 
 namespace dc {
 namespace {
@@ -150,6 +152,43 @@ TEST(TraceTest, EngineIntegrationEmitsPipelineSpans) {
   EXPECT_NE(json.find("\"name\":\"basket.append\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"factory.fire\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"emitter.drain\""), std::string::npos);
+}
+
+TEST(TraceTest, DurableRunEmitsWalAndRecoverySpans) {
+  trace::ClearForTest();
+  const std::string dir = testutil::MakeTempDir("trace_wal");
+  EngineOptions opts;
+  opts.scheduler_workers = 0;
+  opts.enable_tracing = true;
+  opts.durability.dir = dir;
+  {
+    Engine engine(opts);
+    ASSERT_TRUE(engine.recovery_status().ok());
+    ASSERT_TRUE(engine.Execute("CREATE STREAM s (v int)").ok());
+    ASSERT_TRUE(
+        engine.SubmitContinuous("SELECT SUM(v) FROM s [ROWS 4 SLIDE 2]").ok());
+    // The second checkpoint truncates each basket log to the first one's
+    // horizon.
+    for (int round = 0; round < 2; ++round) {
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_TRUE(engine.PushRow("s", {Value::I64(i)}).ok());
+      }
+      engine.Pump();
+      ASSERT_TRUE(engine.Checkpoint().ok());
+    }
+  }
+  {
+    Engine recovered(opts);  // replays the basket log
+    ASSERT_TRUE(recovered.recovery_status().ok());
+  }
+  const std::string json = trace::DumpJson();
+  for (const char* name :
+       {"wal.append", "wal.fsync", "wal.truncate", "recovery.replay"}) {
+    EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""),
+              std::string::npos)
+        << name;
+  }
+  testutil::RemoveDirRecursive(dir);
 }
 
 }  // namespace
