@@ -343,13 +343,17 @@ void Basket::RemoveListener(int listener_id) {
 
 void Basket::NotifyAll() {
   // Copy under lock, call outside it (listeners re-enter the scheduler).
+  // The durability hook goes first, so no pulse outruns a due fsync.
+  std::function<void()> on_unlock;
   std::vector<std::function<void()>> fns;
   {
     MutexLock lock(mu_);
+    on_unlock = hooks_.on_unlock;
     fns.reserve(listeners_.size());
     for (const auto& [id, fn] : listeners_) fns.push_back(fn);
     ++notify_active_;
   }
+  if (on_unlock) on_unlock();
   for (auto& fn : fns) fn();
   MutexLock lock(mu_);
   if (--notify_active_ == 0) notify_cv_.NotifyAll();

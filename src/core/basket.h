@@ -171,12 +171,16 @@ class Basket {
   /// kBasket — the engine's hooks take the WAL writer's kWal mutex.
   /// `on_batch` receives the batch-log entry plus the stored (post-clamp)
   /// column values, so replaying the log reproduces the basket exactly.
+  /// `on_unlock` runs after an append, heartbeat or seal has released the
+  /// lock, before listeners are pulsed and the call returns: the fsync a
+  /// record hook left due happens there, so readers never wait it out.
   struct DurabilityHooks {
     std::function<void(const BasketBatch& batch,
                        const std::vector<BatPtr>& cols)>
         on_batch;
     std::function<void(Micros event_ts)> on_heartbeat;
     std::function<void()> on_seal;
+    std::function<void()> on_unlock;
   };
   void SetDurabilityHooks(DurabilityHooks hooks);
 

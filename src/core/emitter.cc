@@ -68,29 +68,30 @@ int Emitter::Drain() {
 
 void Emitter::Start() {
   if (thread_.joinable()) return;
-  stop_.store(false);
+  {
+    MutexLock lock(wake_mu_);
+    stop_ = false;
+  }
   thread_ = std::thread([this] { Run(); });
 }
 
 void Emitter::Stop() {
-  stop_.store(true);
+  {
+    MutexLock lock(wake_mu_);
+    stop_ = true;
+  }
   wake_cv_.NotifyAll();
   if (thread_.joinable()) thread_.join();
 }
 
 void Emitter::Run() {
-  while (!stop_.load()) {
+  while (true) {
     {
       MutexLock lock(wake_mu_);
-      const Micros deadline = SteadyMicros() + 20000;  // 20 ms fallback tick
-      while (!wake_ && !stop_.load()) {
-        const Micros now = SteadyMicros();
-        if (now >= deadline) break;
-        wake_cv_.WaitFor(wake_mu_, deadline - now);
-      }
+      while (!wake_ && !stop_) wake_cv_.Wait(wake_mu_);
+      if (stop_) break;
       wake_ = false;
     }
-    if (stop_.load()) break;
     Drain();
   }
   Drain();  // final flush

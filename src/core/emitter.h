@@ -80,8 +80,10 @@ class Emitter {
   std::thread thread_;
   Mutex wake_mu_{LockRank::kEmitterWake};
   CondVar wake_cv_;
-  bool wake_ DC_GUARDED_BY(wake_mu_) = false;
-  std::atomic<bool> stop_{false};
+  // Set by every output-basket pulse; starts set because batches may
+  // predate the listener (an alias joining a shared output basket).
+  bool wake_ DC_GUARDED_BY(wake_mu_) = true;
+  bool stop_ DC_GUARDED_BY(wake_mu_) = false;
 };
 
 /// Convenience sink buffering emissions for polling (tests, benches).

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include "core/durability.h"
 #include "monitor/trace.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
@@ -64,50 +65,24 @@ Engine::Engine(EngineOptions options)
       scheduler_(options.scheduler_workers) {
   if (options_.enable_tracing) trace::AddEnableRef();
   if (!options_.durability.dir.empty()) {
-    wal_env_ = options_.durability.env != nullptr ? options_.durability.env
-                                                  : storage::WalEnv::Default();
-    wal_counters_.records = metrics_.GetCounter("wal.records");
-    wal_counters_.bytes = metrics_.GetCounter("wal.bytes");
-    wal_counters_.syncs = metrics_.GetCounter("wal.syncs");
-    wal_counters_.truncations = metrics_.GetCounter("wal.truncations");
-    snapshot_writes_ = metrics_.GetCounter("snapshot.writes");
-    snapshot_bytes_ = metrics_.GetCounter("snapshot.bytes");
-    replayed_records_ = metrics_.GetCounter("recovery.replayed_records");
-    replayed_rows_ = metrics_.GetCounter("recovery.replayed_rows");
-    recovery_runs_ = metrics_.GetCounter("recovery.runs");
-    // Recovery runs before the scheduler threads exist, so the replay is
-    // single-threaded and deterministic; Pump() stands in for workers.
-    recovering_ = true;
-    recovery_status_ = InitDurability();
-    recovering_ = false;
-    restore_node_origins_.clear();
-    if (!recovery_status_.ok()) {
+    Result<std::unique_ptr<Durability>> d = Durability::Recover(this);
+    recovery_status_ = d.status();
+    if (d.ok()) {
+      durability_ = std::move(d).value();
+    } else {
       // Refuse partial recovery: run transient rather than append to logs
       // that could not be read back (docs/DURABILITY.md).
       DC_LOG(kError) << "durability disabled, recovery failed: "
                      << recovery_status_.ToString();
-      wal_env_ = nullptr;
-      catalog_wal_.reset();
     }
   }
   if (options_.scheduler_workers > 0) scheduler_.Start();
-  if (wal_env_ != nullptr && options_.durability.checkpoint_interval_ms > 0 &&
-      options_.scheduler_workers > 0) {
-    ckpt_thread_ = std::thread(&Engine::CheckpointLoop, this);
-  }
 }
 
 Engine::~Engine() {
   // The checkpoint thread walks every other subsystem; stop it before
   // touching any of them.
-  if (ckpt_thread_.joinable()) {
-    {
-      MutexLock lock(ckpt_mu_);
-      ckpt_stop_ = true;
-    }
-    ckpt_cv_.NotifyAll();
-    ckpt_thread_.join();
-  }
+  if (durability_ != nullptr) durability_->StopCheckpointer();
   scheduler_.Stop();
   // Take ownership of the threaded components under mu_, then stop them
   // OUTSIDE it: Stop() joins threads whose sinks may re-enter the engine,
@@ -124,14 +99,6 @@ Engine::~Engine() {
   }
   for (auto& [id, r] : receptors) r->Stop();
   for (auto& e : emitters) e->Stop();
-  // Graceful shutdown keeps the full logs: force the unsynced WAL tails
-  // durable so a restart replays everything (fsync=kInterval/kNever lose
-  // the tail only on a crash, never on a clean destructor).
-  if (wal_env_ != nullptr) {
-    if (catalog_wal_ != nullptr) (void)catalog_wal_->Sync();
-    MutexLock lock(mu_);
-    for (auto& [name, w] : basket_wals_) (void)w->Sync();
-  }
   // After everything that might record spans has stopped.
   if (options_.enable_tracing) trace::ReleaseEnableRef();
 }
@@ -146,15 +113,7 @@ Status Engine::Execute(std::string_view sql) {
   // multi-statement script that fails midway logs nothing, so statements
   // that DID apply before the failure are not replayed — submit scripts
   // one statement at a time if partial-failure durability matters.
-  // Append failures are logged, not propagated (same treatment as
-  // kSubmit/kRemove): every statement already applied, and failing the
-  // call would report an error for DDL that is live.
-  if (wal_env_ != nullptr && !recovering_) {
-    const Status s = catalog_wal_->Append(storage::EncodeStatement(sql));
-    if (!s.ok()) {
-      DC_LOG(kWarn) << "catalog WAL append failed: " << s.ToString();
-    }
-  }
+  if (durability_ != nullptr) durability_->LogStatement(sql);
   return Status::OK();
 }
 
@@ -188,11 +147,11 @@ Status Engine::ExecuteOne(const sql::Statement& stmt) {
       MutexLock lock(mu_);
       baskets_[create.name] = basket;
     }
-    // A fresh stream opens its WAL immediately; during recovery the
-    // writer/hooks attach only after the replay (InitDurability), so
-    // replayed appends are not re-logged.
-    if (wal_env_ != nullptr && !recovering_) {
-      DC_RETURN_NOT_OK(AttachStreamWal(create.name, basket));
+    // A fresh stream opens its WAL immediately; streams replayed by
+    // recovery get theirs when it goes live, so replayed appends are not
+    // logged again.
+    if (durability_ != nullptr) {
+      DC_RETURN_NOT_OK(durability_->AttachStream(create.name, basket));
     }
     return Status::OK();
   }
@@ -314,18 +273,17 @@ Result<std::string> Engine::ExplainSql(std::string_view sql,
 }
 
 Result<int> Engine::SubmitContinuous(std::string_view sql) {
-  return SubmitInternal(sql, ContinuousOptions{}, nullptr, nullptr);
+  return SubmitInternal(sql, ContinuousOptions{}, /*token=*/0);
 }
 
 Result<int> Engine::SubmitContinuous(std::string_view sql,
                                      ContinuousOptions options) {
-  return SubmitInternal(sql, std::move(options), nullptr, nullptr);
+  return SubmitInternal(sql, std::move(options), /*token=*/0);
 }
 
 Result<int> Engine::SubmitInternal(std::string_view sql,
                                    ContinuousOptions options,
-                                   const storage::WalSubmit* restore,
-                                   const storage::FactoryProgress* snap_progress) {
+                                   uint64_t token) {
   DC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
   if (!std::holds_alternative<sql::SelectStmt>(stmt)) {
     return Status::InvalidArgument("SubmitContinuous() expects a SELECT");
@@ -373,17 +331,6 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
   if (auto it = full_entries_.find(full_key);
       options_.enable_sharing && it != full_entries_.end()) {
     fe = &it->second;
-    // Recovery: the founding replay restored the shared factory from
-    // ITS record, which is stale submit-time origins whenever the
-    // founder was removed before the last checkpoint (a removed token
-    // has no snapshot entry) — possibly below the WAL truncation
-    // floor. An aliasing token that IS in the snapshot re-applies the
-    // checkpoint cut here. Safe: nothing fires during catalog replay,
-    // so the factory has zero invocations. Done before any refcount or
-    // emitter bookkeeping so a failure aborts the replay cleanly.
-    if (restore != nullptr && snap_progress != nullptr) {
-      DC_RETURN_NOT_OK(fe->factory->RestoreProgress(*snap_progress));
-    }
     ++fe->refs;
     ++full_hits_;
     entry.full_key = full_key;
@@ -391,8 +338,7 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
   const bool founded = fe == nullptr;
   if (founded) {
     DC_ASSIGN_OR_RETURN(fe, FoundFactory(&entry, executor, options.mode,
-                                         prefix_key, full_key, restore,
-                                         snap_progress));
+                                         prefix_key, full_key));
   }
   entry.factory = fe->factory;
   entry.out_basket = fe->out_basket;
@@ -408,19 +354,14 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
                                             entry.latency);
   if (options_.scheduler_workers > 0) entry.emitter->Start();
 
-  // Capture the progress to log BEFORE the factory reaches the
-  // scheduler: once AddFactory runs, a threaded worker may fire and
-  // advance the cursors, and a post-fire cursor in the kSubmit record
-  // would make replay resume past emissions that were still undrained
-  // in the output basket at the crash — a permanent output gap. An
-  // alias's logged progress is informational: its factory is already
-  // live, so its cursors may sit past undrained emissions — replay never
-  // restores from an alias's record, only from the snapshot (above) or
-  // the founder's record.
-  storage::FactoryProgress logged_progress;
-  if (wal_env_ != nullptr && !recovering_) {
-    logged_progress = entry.factory->SnapshotProgress();
+  // Log BEFORE the factory reaches the scheduler: a post-fire cursor in
+  // the kSubmit record would make replay resume past emissions still
+  // undrained at a crash. (An alias's logged progress is informational:
+  // replay restores from the snapshot or the founder's record.)
+  if (durability_ != nullptr) {
+    token = durability_->LogSubmit(sql, options, *entry.factory, fe->node);
   }
+  entry.dur_token = token;
 
   if (founded) {
     // Arcs before registration so no pulse lands in the gap; the targeted
@@ -431,28 +372,15 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
     scheduler_.AddFactory(entry.factory);
   }
   const int id = entry.id;
-  uint64_t token = 0;
-  {
-    MutexLock lock(mu_);
-    if (wal_env_ != nullptr) {
-      token = restore != nullptr ? restore->token : next_submit_token_++;
-      if (token >= next_submit_token_) next_submit_token_ = token + 1;
-      entry.dur_token = token;
-      token_to_query_[token] = id;
-    }
-    queries_.emplace(id, std::move(entry));
-  }
-  if (wal_env_ != nullptr && !recovering_) {
-    LogSubmit(token, sql, options, logged_progress, fe->node);
-  }
+  MutexLock lock(mu_);
+  queries_.emplace(id, std::move(entry));
   return id;
 }
 
 Result<Engine::SharedFullEntry*> Engine::FoundFactory(
     QueryEntry* entry, const std::shared_ptr<exec::QueryExecutor>& executor,
-    ExecMode mode, const std::string& prefix_key, const std::string& full_key,
-    const storage::WalSubmit* restore,
-    const storage::FactoryProgress* snap_progress) {
+    ExecMode mode, const std::string& prefix_key,
+    const std::string& full_key) {
   const plan::BoundQuery& q = executor->compiled().bound;
 
   // Tier P: an incremental query over one divisible windowed stream (plus
@@ -492,22 +420,6 @@ Result<Engine::SharedFullEntry*> Engine::FoundFactory(
           StrFormat("%s#%d", rel.name.c_str(), next_node_ord_++), stream,
           executor, w.rows, w.slide, std::move(table));
       nodes.push_back(node);
-      if (restore != nullptr && !restore->node_label.empty()) {
-        // Node labels are allocated deterministically (next_node_ord_), so
-        // an in-order replay must recreate the exact label it logged.
-        if (restore->node_label != node->label()) {
-          return Status::Internal(StrFormat(
-              "recovery divergence: replayed submit founded node %s, log "
-              "says %s",
-              node->label().c_str(), restore->node_label.c_str()));
-        }
-        uint64_t origin = restore->node_origin;
-        if (auto oit = restore_node_origins_.find(node->label());
-            oit != restore_node_origins_.end()) {
-          origin = oit->second;
-        }
-        DC_RETURN_NOT_OK(node->RestoreOrigin(origin));
-      }
     }
     node_sub = node->Subscribe();
   }
@@ -559,22 +471,6 @@ Result<Engine::SharedFullEntry*> Engine::FoundFactory(
     return factory.status();
   }
 
-  // Recovery: position the factory at its logged progress BEFORE the
-  // scheduler can see it — a worker firing against pre-restore origins
-  // would consume replayed rows the restored cursors still need. The
-  // snapshot's progress (when its checkpoint covered this token) wins
-  // over the submit-time cursors in the kSubmit record.
-  if (restore != nullptr) {
-    storage::FactoryProgress p;
-    if (snap_progress != nullptr) {
-      p = *snap_progress;
-    } else {
-      p.origins = restore->origins;
-      p.batch_cursor = restore->batch_cursor;
-    }
-    DC_RETURN_NOT_OK((*factory)->RestoreProgress(p));
-  }
-
   // Publish the factory for tier-F aliasing by later identical queries.
   // With sharing off the key is made unique per query, so an identical
   // later text founds its own factory; teardown is refcounted either way.
@@ -592,31 +488,6 @@ Result<Engine::SharedFullEntry*> Engine::FoundFactory(
   return &full_entries_.emplace(entry->full_key, std::move(fe)).first->second;
 }
 
-void Engine::LogSubmit(uint64_t token, std::string_view sql,
-                       const ContinuousOptions& options,
-                       const storage::FactoryProgress& progress,
-                       const SharedWindowNodePtr& node) {
-  storage::WalSubmit sub;
-  sub.token = token;
-  sub.sql = std::string(sql);
-  sub.mode = static_cast<uint8_t>(options.mode);
-  sub.name = options.name;
-  // The factory's progress at submit, captured before it could fire:
-  // replay restores it before the factory can fire, and any advance past
-  // this point is replayed from the basket WALs (or overridden by a later
-  // snapshot's progress).
-  sub.origins = progress.origins;
-  sub.batch_cursor = progress.batch_cursor;
-  if (node != nullptr) {
-    sub.node_label = node->label();
-    sub.node_origin = node->origin_seq();
-  }
-  const Status s = catalog_wal_->Append(storage::EncodeSubmit(sub));
-  if (!s.ok()) {
-    DC_LOG(kWarn) << "catalog WAL append failed: " << s.ToString();
-  }
-}
-
 Status Engine::RemoveContinuous(int query_id) {
   QueryEntry entry;
   {
@@ -632,7 +503,6 @@ Status Engine::RemoveContinuous(int query_id) {
       if (it == queries_.end()) return Status::NotFound("no such query");
       entry = std::move(it->second);
       queries_.erase(it);
-      if (entry.dur_token != 0) token_to_query_.erase(entry.dur_token);
     }
     auto it = full_entries_.find(entry.full_key);
     if (it != full_entries_.end() && --it->second.refs == 0) {
@@ -646,13 +516,9 @@ Status Engine::RemoveContinuous(int query_id) {
         PruneIdleNodesLocked();
       }
     }
-  }
-  if (wal_env_ != nullptr && !recovering_ && entry.dur_token != 0) {
-    const Status s =
-        catalog_wal_->Append(storage::EncodeRemove(entry.dur_token));
-    if (!s.ok()) {
-      DC_LOG(kWarn) << "catalog WAL append failed: " << s.ToString();
-    }
+    // Logged under share_mu_, like submits, so the catalog log orders
+    // removals and submits exactly as the sharing registry saw them.
+    if (durability_ != nullptr) durability_->LogRemove(entry.dur_token);
   }
   // Outside both locks: Stop() joins a thread whose sink may re-enter
   // the engine.
@@ -821,425 +687,12 @@ Status Engine::WaitReceptor(int receptor_id) {
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// Durability (docs/DURABILITY.md).
-// ---------------------------------------------------------------------------
-
-Status Engine::InitDurability() {
-  const EngineOptions::DurabilityOptions& d = options_.durability;
-  DC_RETURN_NOT_OK(wal_env_->CreateDirs(d.dir));
-
-  // 1. Newest complete snapshot, if any (NotFound = cold start).
-  storage::SnapshotData snap;
-  bool have_snap = false;
-  {
-    Result<storage::SnapshotData> s = storage::LoadSnapshot(d.dir);
-    if (s.ok()) {
-      snap = *std::move(s);
-      have_snap = true;
-    } else if (!s.status().IsNotFound()) {
-      return s.status();
-    }
-  }
-  std::map<uint64_t, storage::FactoryProgress> snap_progress;
-  for (const storage::SnapshotQuery& q : snap.queries) {
-    snap_progress[q.token] = q.progress;
-  }
-  for (const storage::SnapshotNode& n : snap.nodes) {
-    restore_node_origins_[n.label] = n.origin_seq;
-  }
-
-  // 2. Catalog log: DDL + submits in original order. A torn tail scans
-  // as a shorter valid prefix (records past it were never acknowledged
-  // as durable under any fsync policy that synced them).
-  const std::string cat_path = d.dir + "/catalog.wal";
-  storage::WalScan cat;
-  bool cat_found = false;
-  if (Result<storage::WalScan> s = storage::ReadWalFile(cat_path); s.ok()) {
-    cat = std::move(s).value();
-    cat_found = true;
-  } else if (!s.status().IsNotFound()) {
-    return s.status();
-  }
-  if (have_snap || !cat.records.empty()) recovery_runs_->Add(1);
-
-  // 3. Replay the catalog log. CREATE STREAM additionally positions the
-  // fresh basket at its WAL's head kReset (before any reader registers);
-  // INSERTs into streams are skipped — their rows replay from the basket
-  // WALs with exact batch boundaries and post-clamp timestamps. Each
-  // basket log is read once: step 6 reopens it from the same scan.
-  std::vector<std::string> stream_order;
-  std::map<std::string, storage::WalScan> basket_scans;
-  // Each basket WAL's kReset start_seq: the truncation floor. Restored
-  // cursors below it would read rows the log no longer has (step 5).
-  std::map<std::string, uint64_t> replay_base;
-  for (const storage::WalRecord& rec : cat.records) {
-    switch (rec.type) {
-      case storage::WalRecordType::kStatement: {
-        DC_ASSIGN_OR_RETURN(std::string stmt_sql,
-                            storage::DecodeStatement(rec));
-        DC_ASSIGN_OR_RETURN(std::vector<sql::Statement> stmts,
-                            sql::ParseScript(stmt_sql));
-        for (const sql::Statement& stmt : stmts) {
-          if (std::holds_alternative<sql::InsertStmt>(stmt) &&
-              catalog_.IsStream(std::get<sql::InsertStmt>(stmt).table)) {
-            continue;
-          }
-          DC_RETURN_NOT_OK(ExecuteOne(stmt));
-          if (!std::holds_alternative<sql::CreateStmt>(stmt)) continue;
-          const auto& create = std::get<sql::CreateStmt>(stmt);
-          if (!create.is_stream) continue;
-          stream_order.push_back(create.name);
-          Result<storage::WalScan> scan =
-              storage::ReadWalFile(d.dir + "/" + create.name + ".wal");
-          if (!scan.ok()) {
-            if (scan.status().IsNotFound()) continue;
-            return scan.status();
-          }
-          storage::WalScan& bs = basket_scans[create.name];
-          bs = std::move(scan).value();
-          if (bs.records.empty()) continue;
-          if (bs.records[0].type != storage::WalRecordType::kReset) {
-            return Status::Internal(StrFormat(
-                "basket WAL %s does not start with kReset",
-                create.name.c_str()));
-          }
-          DC_ASSIGN_OR_RETURN(storage::WalReset reset,
-                              storage::DecodeReset(bs.records[0]));
-          replay_base[create.name] = reset.start_seq;
-          Basket* basket = GetBasket(create.name);
-          if (basket == nullptr) return Status::Internal("basket missing");
-          DC_RETURN_NOT_OK(basket->RestoreLogPosition(
-              reset.start_seq, reset.next_ordinal, reset.watermark,
-              reset.sealed));
-        }
-        replayed_records_->Add(1);
-        break;
-      }
-      case storage::WalRecordType::kSubmit: {
-        DC_ASSIGN_OR_RETURN(storage::WalSubmit sub,
-                            storage::DecodeSubmit(rec));
-        ContinuousOptions co;
-        co.mode = static_cast<ExecMode>(sub.mode);
-        co.name = sub.name;
-        // Original sinks are process-local and cannot be persisted;
-        // recovered queries get buffered collectors (TakeResults).
-        // The snapshot's progress for this token (null when the
-        // checkpoint predates the submit) supersedes the submit-time
-        // cursors in the record — and is the only progress applied when
-        // the submit turns out to alias an already-replayed factory.
-        const storage::FactoryProgress* sp = nullptr;
-        if (auto it = snap_progress.find(sub.token);
-            it != snap_progress.end()) {
-          sp = &it->second;
-        }
-        DC_RETURN_NOT_OK(
-            SubmitInternal(sub.sql, std::move(co), &sub, sp).status());
-        replayed_records_->Add(1);
-        break;
-      }
-      case storage::WalRecordType::kRemove: {
-        DC_ASSIGN_OR_RETURN(uint64_t token, storage::DecodeRemove(rec));
-        int query_id = -1;
-        {
-          MutexLock lock(mu_);
-          auto it = token_to_query_.find(token);
-          if (it == token_to_query_.end()) {
-            return Status::Internal(
-                StrFormat("kRemove for unknown submit token %llu",
-                          static_cast<unsigned long long>(token)));
-          }
-          query_id = it->second;
-        }
-        DC_RETURN_NOT_OK(RemoveContinuous(query_id));
-        replayed_records_->Add(1);
-        break;
-      }
-      default:
-        return Status::Internal("unexpected record type in catalog log");
-    }
-  }
-
-  // Release what the restored cursors have passed, now that every node
-  // has all its subscribers: replay starts at the previous checkpoint,
-  // and rows no fire will consume must drop as they arrive, or a tail
-  // longer than the basket bound stalls.
-  std::vector<FactoryPtr> restored;
-  {
-    MutexLock lock(mu_);
-    for (const auto& [id, q] : queries_) restored.push_back(q.factory);
-  }
-  for (const FactoryPtr& f : restored) {
-    f->ReleaseRestoredPrefix();
-  }
-
-  // 4. Replay basket data through the normal append path — windows,
-  // join indexes, and grid partials rebuild under their own invariants.
-  // Pump() after every record keeps the replay deterministic and matches
-  // the batch-at-a-time cadence the differential harness drives.
-  trace::Span replay_span("recovery.replay", "recovery");
-  for (const std::string& name : stream_order) {
-    auto sit = basket_scans.find(name);
-    if (sit == basket_scans.end()) continue;
-    Basket* basket = GetBasket(name);
-    if (basket == nullptr) return Status::Internal("basket missing");
-    const std::vector<storage::WalRecord>& records = sit->second.records;
-    for (size_t i = 1; i < records.size(); ++i) {
-      const storage::WalRecord& rec = records[i];
-      switch (rec.type) {
-        case storage::WalRecordType::kBatch: {
-          DC_ASSIGN_OR_RETURN(storage::WalBatch b, storage::DecodeBatch(rec));
-          if (b.begin_seq != basket->HighSeq()) {
-            return Status::Internal(StrFormat(
-                "basket WAL %s not contiguous: batch %llu begins at %llu, "
-                "basket is at %llu",
-                name.c_str(), static_cast<unsigned long long>(b.ordinal),
-                static_cast<unsigned long long>(b.begin_seq),
-                static_cast<unsigned long long>(basket->HighSeq())));
-          }
-          // Only this thread can drain during recovery: fail fast on
-          // backpressure and Pump() to make space.
-          Status s = basket->Append(b.cols, /*timeout_micros=*/0);
-          while (s.IsResourceExhausted()) {
-            if (Pump() == 0) {
-              return Status::Internal(StrFormat(
-                  "replay of %s stalled: basket full and nothing to pump",
-                  name.c_str()));
-            }
-            s = basket->Append(b.cols, /*timeout_micros=*/0);
-          }
-          DC_RETURN_NOT_OK(s);
-          replayed_rows_->Add(b.rows);
-          break;
-        }
-        case storage::WalRecordType::kHeartbeat: {
-          DC_ASSIGN_OR_RETURN(int64_t ts, storage::DecodeHeartbeat(rec));
-          basket->Heartbeat(ts);
-          break;
-        }
-        case storage::WalRecordType::kSeal:
-          basket->Seal();
-          break;
-        default:
-          return Status::Internal(StrFormat(
-              "unexpected record type in basket WAL %s", name.c_str()));
-      }
-      replayed_records_->Add(1);
-      Pump();
-    }
-  }
-  Pump();
-  replay_span.set_arg(static_cast<int64_t>(replayed_rows_->Value()));
-
-  // 5. The replayed data must bracket every restored cursor — a WAL that
-  // scanned shorter than the progress a snapshot promised is unusable,
-  // and a cursor below a WAL's kReset floor references rows truncation
-  // already dropped (refuse partial recovery rather than silently
-  // mis-emit either way).
-  {
-    MutexLock lock(mu_);
-    for (const auto& [id, q] : queries_) {
-      const storage::FactoryProgress p = q.factory->SnapshotProgress();
-      const std::vector<FactoryInput>& inputs = q.factory->inputs();
-      for (size_t r = 0; r < inputs.size() && r < p.origins.size(); ++r) {
-        if (!inputs[r].is_stream) continue;
-        if (p.origins[r] > inputs[r].basket->HighSeq()) {
-          return Status::Internal(StrFormat(
-              "query %s: restored origin %llu beyond replayed data %llu "
-              "on %s",
-              q.name.c_str(),
-              static_cast<unsigned long long>(p.origins[r]),
-              static_cast<unsigned long long>(inputs[r].basket->HighSeq()),
-              inputs[r].basket->name().c_str()));
-        }
-        // What must stay above the floor is the next sequence the query
-        // will actually read (NextReadSeq), not its window anchor. RANGE
-        // windows resolve reads by timestamp (clamped at the anchor from
-        // below), so the floor does not constrain them.
-        const std::optional<uint64_t> next_read =
-            NextReadSeq(inputs[r], r, p);
-        if (!next_read.has_value()) continue;
-        uint64_t base = 0;
-        if (auto bit = replay_base.find(inputs[r].basket->name());
-            bit != replay_base.end()) {
-          base = bit->second;
-        }
-        if (*next_read < base) {
-          return Status::Internal(StrFormat(
-              "query %s: restored cursor %llu below the WAL truncation "
-              "floor %llu on %s",
-              q.name.c_str(),
-              static_cast<unsigned long long>(*next_read),
-              static_cast<unsigned long long>(base),
-              inputs[r].basket->name().c_str()));
-        }
-      }
-    }
-  }
-
-  // 6. Go live: open the catalog log for appending (truncating any torn
-  // tail to the prefix we just replayed), attach writers + hooks to every
-  // basket, and adopt the snapshot's horizons as the truncation floor.
-  DC_ASSIGN_OR_RETURN(
-      catalog_wal_,
-      storage::WalWriter::Open(wal_env_, cat_path, storage::FsyncPolicy::kAlways,
-                               /*fsync_interval=*/1, wal_counters_,
-                               cat_found ? &cat : nullptr));
-  std::map<std::string, std::shared_ptr<Basket>> baskets;
-  {
-    MutexLock lock(mu_);
-    baskets = baskets_;
-  }
-  for (const auto& [name, basket] : baskets) {
-    auto sit = basket_scans.find(name);
-    DC_RETURN_NOT_OK(AttachStreamWal(
-        name, basket, sit == basket_scans.end() ? nullptr : &sit->second));
-  }
-  {
-    MutexLock dur(dur_mu_);
-    for (const storage::SnapshotBasket& b : snap.baskets) {
-      last_horizons_[b.name] = b.horizon;
-    }
-    next_checkpoint_id_ = snap.checkpoint_id + 1;
-  }
-  return Status::OK();
-}
-
-Status Engine::AttachStreamWal(const std::string& name,
-                               const std::shared_ptr<Basket>& basket,
-                               const storage::WalScan* scan) {
-  const EngineOptions::DurabilityOptions& d = options_.durability;
-  const std::string path = d.dir + "/" + name + ".wal";
-  const bool has_head = scan != nullptr && !scan->records.empty();
-  DC_ASSIGN_OR_RETURN(
-      std::unique_ptr<storage::WalWriter> writer,
-      storage::WalWriter::Open(wal_env_, path, d.fsync,
-                               d.fsync_interval_batches, wal_counters_, scan));
-  if (!has_head) {
-    // Fresh log: declare where it starts. (Always the basket's current
-    // state — zero on CREATE STREAM, the replayed position if a corrupt
-    // log was truncated all the way back to its magic.)
-    storage::WalReset reset;
-    reset.start_seq = basket->HighSeq();
-    reset.next_ordinal = basket->Stats().append_batches;
-    reset.watermark = basket->EventWatermark();
-    reset.sealed = basket->sealed();
-    DC_RETURN_NOT_OK(writer->Append(storage::EncodeReset(reset)));
-    DC_RETURN_NOT_OK(writer->Sync());
-  }
-  // The hooks run inside the basket lock (record order == append order)
-  // and only take the writer's kWal mutex above it. Append failures
-  // cannot be propagated from a hook; they are logged, and the record is
-  // lost — equivalent to a crash before sync for that batch.
-  storage::WalWriter* w = writer.get();
-  Basket::DurabilityHooks hooks;
-  hooks.on_batch = [w](const BasketBatch& b, const std::vector<BatPtr>& cols) {
-    const Status s = w->Append(storage::EncodeBatch(
-        b.ordinal, b.begin_seq, b.end_seq - b.begin_seq, cols));
-    if (!s.ok()) {
-      DC_LOG(kWarn) << "WAL append failed: " << s.ToString();
-    }
-  };
-  hooks.on_heartbeat = [w](Micros event_ts) {
-    const Status s = w->Append(storage::EncodeHeartbeat(event_ts));
-    if (!s.ok()) {
-      DC_LOG(kWarn) << "WAL append failed: " << s.ToString();
-    }
-  };
-  hooks.on_seal = [w]() {
-    const Status s = w->Append(storage::EncodeSeal());
-    if (!s.ok()) {
-      DC_LOG(kWarn) << "WAL append failed: " << s.ToString();
-    }
-  };
-  basket->SetDurabilityHooks(std::move(hooks));
-  MutexLock lock(mu_);
-  basket_wals_[name] = std::move(writer);
-  return Status::OK();
-}
-
 Status Engine::Checkpoint() {
-  if (wal_env_ == nullptr) {
+  if (durability_ == nullptr) {
     return Status::InvalidArgument(
         "durability is not enabled (EngineOptions::durability.dir)");
   }
-  MutexLock dur(dur_mu_);
-
-  // 1. Capture the cut: per-query progress, node origins, and the basket
-  // horizons the NEXT checkpoint may truncate to. Everything the captured
-  // progress references was appended (and hence WAL-logged) before this
-  // point.
-  storage::SnapshotData data;
-  data.checkpoint_id = next_checkpoint_id_++;
-  std::map<std::string, uint64_t> horizons;
-  std::vector<storage::WalWriter*> wals;
-  {
-    MutexLock share(share_mu_);
-    for (const auto& [key, nodes] : prefix_nodes_) {
-      for (const SharedWindowNodePtr& n : nodes) {
-        data.nodes.push_back({n->label(), n->origin_seq()});
-      }
-    }
-    MutexLock lock(mu_);
-    for (const auto& [name, b] : baskets_) {
-      const uint64_t horizon = b->DropHorizon();
-      horizons[name] = horizon;
-      data.baskets.push_back({name, horizon});
-    }
-    for (const auto& [id, q] : queries_) {
-      if (q.dur_token == 0) continue;
-      data.queries.push_back({q.dur_token, q.factory->SnapshotProgress()});
-    }
-    for (const auto& [name, w] : basket_wals_) wals.push_back(w.get());
-  }
-
-  // 2. Persist the WALs at least through the cut.
-  DC_RETURN_NOT_OK(catalog_wal_->Sync());
-  for (storage::WalWriter* w : wals) DC_RETURN_NOT_OK(w->Sync());
-
-  // 3. Deliver everything produced before the cut, so a recovered engine
-  // re-emits only at-or-after it (the harness dedups by position).
-  for (const auto& e : SnapshotEmitters()) e->Drain();
-
-  // 4. Snapshot (tmp + fsync + rotate current->prev + rename).
-  DC_RETURN_NOT_OK(storage::WriteSnapshot(wal_env_, options_.durability.dir,
-                                          data, snapshot_bytes_.get()));
-  snapshot_writes_->Add(1);
-
-  // 5. Truncate each basket WAL only to the PREVIOUS checkpoint's
-  // horizon: if this snapshot is torn by a later crash, snapshot.prev.dc
-  // still pairs with a WAL tail that covers it.
-  std::vector<std::pair<storage::WalWriter*, uint64_t>> cuts;
-  {
-    MutexLock lock(mu_);
-    for (const auto& [name, w] : basket_wals_) {
-      if (auto it = last_horizons_.find(name); it != last_horizons_.end()) {
-        cuts.emplace_back(w.get(), it->second);
-      }
-    }
-  }
-  for (const auto& [w, horizon] : cuts) {
-    DC_RETURN_NOT_OK(w->TruncateTo(horizon));
-  }
-  last_horizons_ = std::move(horizons);
-  return Status::OK();
-}
-
-void Engine::CheckpointLoop() {
-  const int64_t interval_us =
-      static_cast<int64_t>(options_.durability.checkpoint_interval_ms) *
-      kMicrosPerMilli;
-  while (true) {
-    {
-      MutexLock lock(ckpt_mu_);
-      if (!ckpt_stop_) ckpt_cv_.WaitFor(ckpt_mu_, interval_us);
-      if (ckpt_stop_) return;
-    }
-    const Status s = Checkpoint();
-    if (!s.ok()) {
-      DC_LOG(kWarn) << "periodic checkpoint failed: " << s.ToString();
-    }
-  }
+  return durability_->Checkpoint();
 }
 
 std::vector<std::shared_ptr<Emitter>> Engine::SnapshotEmitters() const {

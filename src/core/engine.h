@@ -23,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/basket.h"
@@ -35,12 +34,13 @@
 #include "monitor/metrics.h"
 #include "plan/explain.h"
 #include "storage/catalog.h"
-#include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "util/result.h"
 #include "util/sync.h"
 
 namespace dc {
+
+class Durability;
 
 struct EngineOptions {
   /// Scheduler worker threads. 0 = synchronous mode: no threads anywhere;
@@ -192,8 +192,8 @@ class Engine {
   /// Writes a consistent snapshot of factory progress and truncates each
   /// basket WAL to the *previous* checkpoint's horizon (so the rotated
   /// snapshot.prev.dc always pairs with a sufficient WAL tail). Serialized
-  /// on dur_mu_; safe to call concurrently with ingest and fires.
-  /// InvalidArgument when durability is off.
+  /// by the durability manager; safe to call concurrently with ingest and
+  /// fires. InvalidArgument when durability is off.
   Status Checkpoint();
 
   /// What the constructor's recovery pass concluded. OK after a cold
@@ -233,6 +233,10 @@ class Engine {
   monitor::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
+  // Recovery replays through the private live paths below, and a
+  // checkpoint captures the registries under their own locks.
+  friend class Durability;
+
   struct QueryEntry {
     int id;
     std::string sql;
@@ -282,52 +286,19 @@ class Engine {
 
   Status ExecuteOne(const sql::Statement& stmt);
   Result<ColumnSet> RunSelect(const sql::SelectStmt& stmt);
-  /// SubmitContinuous body. `restore` is non-null only during recovery
-  /// replay: the submit token is taken from the log instead of allocated,
-  /// nothing is re-logged, a founded shared node is re-anchored at its
-  /// original origin, and progress is applied to the factory BEFORE it
-  /// reaches the scheduler (so it can never fire from pre-restore
-  /// origins). `snap_progress` is the loaded snapshot's entry for this
-  /// token (null when the snapshot predates the submit); it wins over the
-  /// kSubmit record's submit-time cursors, and is the ONLY progress an
-  /// aliasing replay applies — the founder's own record can be stale when
-  /// the founder was removed before the checkpoint.
+  /// SubmitContinuous body. `token` is the query's catalog-log submit
+  /// token when recovery replays a kSubmit record; live submits pass 0
+  /// and, on a durable engine, are logged and get a fresh one.
   Result<int> SubmitInternal(std::string_view sql, ContinuousOptions options,
-                             const storage::WalSubmit* restore,
-                             const storage::FactoryProgress* snap_progress);
+                             uint64_t token);
   /// SubmitInternal's founding step: builds the query's factory — a
   /// merge tail over a joined or founded SharedWindowNode when tier P
-  /// applies — applies recovery progress, and publishes it in
-  /// full_entries_ with refs = 1 (setting entry->full_key). The factory
-  /// does not reach the scheduler here.
+  /// applies — and publishes it in full_entries_ with refs = 1 (setting
+  /// entry->full_key). The factory does not reach the scheduler here.
   Result<SharedFullEntry*> FoundFactory(
       QueryEntry* entry, const std::shared_ptr<exec::QueryExecutor>& executor,
       ExecMode mode, const std::string& prefix_key,
-      const std::string& full_key, const storage::WalSubmit* restore,
-      const storage::FactoryProgress* snap_progress) DC_REQUIRES(share_mu_);
-  /// Appends a kSubmit record (token, sql, the given factory progress,
-  /// founded-node identity) to the catalog log. `progress` must be
-  /// captured before the factory could first fire (pre-AddFactory): a
-  /// post-fire cursor would make replay resume past emissions that were
-  /// still undrained at the crash. Append failures are logged, not
-  /// propagated — the query is already live.
-  void LogSubmit(uint64_t token, std::string_view sql,
-                 const ContinuousOptions& options,
-                 const storage::FactoryProgress& progress,
-                 const SharedWindowNodePtr& node);
-  /// Constructor-time durability bring-up: creates the directory,
-  /// recovers snapshot + WAL tails if present (replaying through the
-  /// normal append path), then attaches WAL writers/hooks to every
-  /// stream basket and opens the catalog log.
-  Status InitDurability();
-  /// Opens `<dir>/<name>.wal` (writing a head kReset on a fresh log) and
-  /// installs the basket's durability hooks. `scan` is recovery's read of
-  /// the existing log, or null when there was none.
-  Status AttachStreamWal(const std::string& name,
-                         const std::shared_ptr<Basket>& basket,
-                         const storage::WalScan* scan = nullptr);
-  /// Background checkpoint thread body (checkpoint_interval_ms > 0).
-  void CheckpointLoop();
+      const std::string& full_key) DC_REQUIRES(share_mu_);
   /// Drops zero-subscriber shared nodes from the registry (their basket
   /// readers unregister with them).
   void PruneIdleNodesLocked() DC_REQUIRES(share_mu_);
@@ -346,62 +317,19 @@ class Engine {
   /// introspection can resolve handles.
   mutable monitor::MetricsRegistry metrics_;
 
-  // --- Durability state (docs/DURABILITY.md) ---
-  /// Non-null iff durability is on AND usable (bring-up failures leave
-  /// the engine transient rather than appending to logs it could not
-  /// read). Set once in the constructor.
-  storage::WalEnv* wal_env_ = nullptr;
-  /// True only while the constructor replays logs: logging sites skip
-  /// (replay must not re-log) and statement replay skips INSERTs into
-  /// streams (their rows replay from the basket WALs instead).
-  bool recovering_ = false;
+  /// Null unless durability is on and live (docs/DURABILITY.md): set
+  /// once recovery has replayed and the catalog log is open, so nothing
+  /// replay does is logged again. Declared before baskets_ so the basket
+  /// log writers outlive the baskets whose hooks point at them.
+  std::unique_ptr<Durability> durability_;
   Status recovery_status_;
-  storage::WalCounters wal_counters_;
-  std::shared_ptr<monitor::Counter> snapshot_writes_;
-  std::shared_ptr<monitor::Counter> snapshot_bytes_;
-  std::shared_ptr<monitor::Counter> replayed_records_;
-  std::shared_ptr<monitor::Counter> replayed_rows_;
-  std::shared_ptr<monitor::Counter> recovery_runs_;
-  /// Internally synchronized (kWal); the pointer is set once in the
-  /// constructor. Always opened with FsyncPolicy::kAlways.
-  std::unique_ptr<storage::WalWriter> catalog_wal_;
-  /// label -> origin_seq of shared nodes from the loaded snapshot;
-  /// consulted (then discarded) when recovery replay re-founds a node.
-  std::map<std::string, uint64_t> restore_node_origins_;
-
-  /// Serializes checkpoints. Ranks below kEmitterDrain (and everything
-  /// else a checkpoint touches): Checkpoint() drains emitters and walks
-  /// the sharing registry, engine maps, and factories while holding it.
-  mutable Mutex dur_mu_{LockRank::kDurability};
-  /// Horizons captured at the previous checkpoint — what the NEXT
-  /// checkpoint may truncate each basket WAL to, so snapshot.prev.dc
-  /// always pairs with a sufficient WAL tail.
-  std::map<std::string, uint64_t> last_horizons_ DC_GUARDED_BY(dur_mu_);
-  uint64_t next_checkpoint_id_ DC_GUARDED_BY(dur_mu_) = 1;
-
-  /// Background checkpoint thread. Its wait mutex is a leaf (nothing is
-  /// ever acquired under it); the thread is stopped FIRST in the
-  /// destructor, before any subsystem it checkpoints.
-  Mutex ckpt_mu_{LockRank::kLeaf};
-  CondVar ckpt_cv_;
-  bool ckpt_stop_ DC_GUARDED_BY(ckpt_mu_) = false;
-  std::thread ckpt_thread_;
 
   mutable Mutex mu_{LockRank::kEngine};
-  /// Declared before baskets_ so writers outlive the baskets whose hooks
-  /// hold raw pointers to them. Writers are internally synchronized
-  /// (kWal > kBasket: hooks append under the basket lock); the map itself
-  /// is guarded by mu_.
-  std::map<std::string, std::unique_ptr<storage::WalWriter>> basket_wals_
-      DC_GUARDED_BY(mu_);
   std::map<std::string, std::shared_ptr<Basket>> baskets_ DC_GUARDED_BY(mu_);
   std::map<int, QueryEntry> queries_ DC_GUARDED_BY(mu_);
   std::map<int, std::unique_ptr<Receptor>> receptors_ DC_GUARDED_BY(mu_);
-  /// Submit token -> query id, for kRemove replay and Remove logging.
-  std::map<uint64_t, int> token_to_query_ DC_GUARDED_BY(mu_);
   int next_query_id_ DC_GUARDED_BY(mu_) = 1;
   int next_receptor_id_ DC_GUARDED_BY(mu_) = 1;
-  uint64_t next_submit_token_ DC_GUARDED_BY(mu_) = 1;
 
   // Multi-query sharing registry (docs/SHARING.md). share_mu_ ranks
   // BELOW mu_ (kSharingRegistry < kEngine) because Submit/Remove hold it

@@ -131,6 +131,8 @@ class Factory {
   const exec::QueryExecutor& executor() const { return *executor_; }
   Basket* output() const { return output_.get(); }
   const std::vector<FactoryInput>& inputs() const { return inputs_; }
+  /// The shared window node this factory is a tail of, or null.
+  const SharedWindowNodePtr& node() const { return node_; }
 
   /// Distinct stream input baskets — the Petri-net places whose
   /// data-arrival pulses can enable this transition. The engine attaches
@@ -159,9 +161,9 @@ class Factory {
   storage::FactoryProgress SnapshotProgress() const;
 
   /// Recovery: re-applies captured progress to a freshly created factory.
-  /// Valid only before the first Fire — the caller (Engine recovery)
-  /// restores progress before registering the factory with the scheduler,
-  /// so a worker can never fire it against pre-restore origins.
+  /// Valid only before the first Fire — recovery restores every factory
+  /// once the catalog has replayed, before anything fires, so nothing
+  /// ever fires against pre-restore origins.
   Status RestoreProgress(const storage::FactoryProgress& p);
 
   /// Recovery, once every query is restored and before the WAL data

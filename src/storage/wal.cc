@@ -262,8 +262,6 @@ void WalEncoder::PutU64(uint64_t v) {
   buf_.append(b, sizeof(b));
 }
 
-void WalEncoder::PutF64(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
-
 void WalEncoder::PutStr(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
   PutBytes(s.data(), s.size());
@@ -287,8 +285,6 @@ uint64_t WalDecoder::GetU64() {
   const std::string_view b = GetBytes(sizeof(uint64_t));
   return ok_ ? LoadLittle<uint64_t>(b.data()) : 0;
 }
-
-double WalDecoder::GetF64() { return std::bit_cast<double>(GetU64()); }
 
 std::string WalDecoder::GetStr() {
   const uint32_t n = GetU32();
@@ -744,6 +740,11 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalEnv* env,
 }
 
 Status WalWriter::Append(std::string_view payload) {
+  DC_RETURN_NOT_OK(Write(payload));
+  return SyncDue();
+}
+
+Status WalWriter::Write(std::string_view payload) {
   trace::Span span("wal.append", "wal",
                    static_cast<int64_t>(kWalFrameHeaderBytes + payload.size()));
   const uint32_t crc = Crc32(payload.data(), payload.size());
@@ -757,13 +758,20 @@ Status WalWriter::Append(std::string_view payload) {
     case FsyncPolicy::kNever:
       break;
     case FsyncPolicy::kAlways:
-      DC_RETURN_NOT_OK(SyncLocked());
+      sync_due_ = true;
       break;
     case FsyncPolicy::kInterval:
-      if (++unsynced_ >= fsync_interval_) DC_RETURN_NOT_OK(SyncLocked());
+      if (++unsynced_ >= fsync_interval_) sync_due_ = true;
       break;
   }
   return Status::OK();
+}
+
+Status WalWriter::SyncDue() {
+  MutexLock lock(mu_);
+  if (!sync_due_) return Status::OK();
+  if (file_ == nullptr) return Status::Internal("wal writer closed");
+  return SyncLocked();
 }
 
 Status WalWriter::Sync() {
@@ -776,6 +784,7 @@ Status WalWriter::SyncLocked() {
   trace::Span span("wal.fsync", "wal");
   DC_RETURN_NOT_OK(file_->Sync());
   unsynced_ = 0;
+  sync_due_ = false;
   if (counters_.syncs) counters_.syncs->Add(1);
   return Status::OK();
 }
@@ -854,6 +863,7 @@ Status WalWriter::TruncateTo(uint64_t horizon) {
   DC_RETURN_NOT_OK(env_->SyncDir(DirName(path_)));
   DC_ASSIGN_OR_RETURN(file_, env_->Open(path_, /*truncate=*/false));
   unsynced_ = 0;
+  sync_due_ = false;
   if (counters_.truncations) counters_.truncations->Add(1);
   return Status::OK();
 }

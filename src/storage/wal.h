@@ -124,12 +124,10 @@ class WalEncoder {
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-  void PutF64(double v);
   void PutStr(std::string_view s);  // u32 length prefix + bytes
   void PutBytes(const void* data, size_t n);
   void PutZeros(size_t n) { buf_.append(n, '\0'); }
   std::string Take() { return std::move(buf_); }
-  const std::string& buf() const { return buf_; }
 
  private:
   std::string buf_;
@@ -147,7 +145,6 @@ class WalDecoder {
   uint32_t GetU32();
   uint64_t GetU64();
   int64_t GetI64() { return static_cast<int64_t>(GetU64()); }
-  double GetF64();
   std::string GetStr();
   std::string_view GetBytes(size_t n);
 
@@ -274,6 +271,11 @@ class WalWriter {
   /// Appends one framed record (one WalFile::Append of header plus
   /// payload, framed in a reused buffer) and applies the fsync policy.
   Status Append(std::string_view payload);
+  /// Append split in two, so a caller can write under its own lock
+  /// (record order is call order) and fsync after releasing it: Write
+  /// leaves the policy's sync to SyncDue, which may find it already done.
+  Status Write(std::string_view payload);
+  Status SyncDue();
 
   /// Forces all appended records durable regardless of policy.
   Status Sync();
@@ -308,6 +310,7 @@ class WalWriter {
   Mutex mu_{LockRank::kWal};
   std::unique_ptr<WalFile> file_ DC_GUARDED_BY(mu_);
   int unsynced_ DC_GUARDED_BY(mu_) = 0;
+  bool sync_due_ DC_GUARDED_BY(mu_) = false;
   // Frame buffer reused by Append: grows to the largest record once.
   std::string frame_ DC_GUARDED_BY(mu_);
 };

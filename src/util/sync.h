@@ -95,7 +95,7 @@ namespace dc {
 enum class LockRank : int {
   kMonitor = 10,        // monitor::AnalysisPane::mu_ (holds while sampling
                         // the whole engine, so it is the outermost rank)
-  kDurability = 15,     // Engine::dur_mu_ (checkpoint serialization; a
+  kDurability = 15,     // Durability::ckpt_mu_ (checkpoint serialization; a
                         // checkpoint drains emitters (20) and walks the
                         // sharing registry (25), engine (30), factory and
                         // basket locks underneath, so it sits just below

@@ -638,6 +638,123 @@ TEST_F(RecoveryTest, CheckpointCutsReplayExactlyAtItsEmissionCounts) {
   }
 }
 
+// A recovered engine is an ordinary durable engine: it recovers again.
+// Replay must leave its own catalog log untouched (every statement and
+// submit logged exactly once, however often the engine restarts), and
+// going live must hook every replayed stream, or rows fed after the
+// first recovery would be missing from the second. Each recovery resumes
+// exactly at its checkpoint's emission counts.
+TEST_F(RecoveryTest, RecoveredEngineRecoversAgain) {
+  const std::vector<WRow> rows = WorkloadRows(48);
+  constexpr size_t kFirstStop = 16;
+  constexpr size_t kSecondStop = 32;
+  std::vector<std::vector<std::string>> oracle;
+  {
+    Engine e(testutil::SyncOptions());
+    WorkloadDdl(e);
+    std::vector<int> qids = WorkloadSubmit(e);
+    WorkloadFeed(e, rows, 0, 0, rows.size());
+    WorkloadSeal(e);
+    oracle = WorkloadTake(e, qids);
+  }
+  auto recovered_qids = [](Engine& e) {
+    std::map<std::string, int> by_sql;
+    for (const ContinuousQueryInfo& q : e.Queries()) by_sql[q.sql] = q.id;
+    std::vector<int> qids;
+    for (const std::string& sql : WorkloadQueries()) {
+      EXPECT_EQ(by_sql.count(sql), 1u) << sql;
+      qids.push_back(by_sql[sql]);
+    }
+    return qids;
+  };
+  auto emission_counts = [](Engine& e, const std::vector<int>& qids) {
+    std::vector<size_t> counts;
+    for (int q : qids) counts.push_back(e.GetFactory(q)->Stats().emissions);
+    return counts;
+  };
+  auto expect_slice = [&](const std::vector<std::vector<std::string>>& got,
+                          const std::vector<size_t>& from,
+                          const std::vector<size_t>& to) {
+    ASSERT_EQ(got.size(), oracle.size());
+    for (size_t q = 0; q < oracle.size(); ++q) {
+      ASSERT_LE(from[q], to[q]);
+      ASSERT_LE(to[q], oracle[q].size());
+      EXPECT_EQ(got[q], std::vector<std::string>(oracle[q].begin() + from[q],
+                                                 oracle[q].begin() + to[q]))
+          << "query " << q;
+    }
+  };
+
+  std::vector<size_t> first_cut;
+  {
+    Engine e(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kInterval));
+    ASSERT_TRUE(e.recovery_status().ok());
+    WorkloadDdl(e);
+    const std::vector<int> qids = WorkloadSubmit(e);
+    WorkloadFeed(e, rows, 0, 0, kFirstStop);
+    first_cut = emission_counts(e, qids);
+    ASSERT_TRUE(e.Checkpoint().ok());
+  }
+
+  std::vector<size_t> second_cut;
+  {
+    Engine rec(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kInterval));
+    ASSERT_TRUE(rec.recovery_status().ok())
+        << rec.recovery_status().ToString();
+    const std::vector<int> qids = recovered_qids(rec);
+    ASSERT_EQ(rec.GetBasket("s")->HighSeq(), kFirstStop);
+    ASSERT_EQ(rec.GetBasket("r")->HighSeq(), kFirstStop);
+    WorkloadFeed(rec, rows, kFirstStop, kFirstStop, kSecondStop);
+    second_cut = emission_counts(rec, qids);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_slice(WorkloadTake(rec, qids), first_cut, second_cut));
+    ASSERT_TRUE(rec.Checkpoint().ok());
+  }
+
+  Engine again(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kInterval));
+  ASSERT_TRUE(again.recovery_status().ok())
+      << again.recovery_status().ToString();
+  const std::vector<int> qids = recovered_qids(again);
+  // Rows fed after the first recovery were logged: go-live hooked both
+  // replayed streams.
+  ASSERT_EQ(again.GetBasket("s")->HighSeq(), kSecondStop);
+  ASSERT_EQ(again.GetBasket("r")->HighSeq(), kSecondStop);
+  WorkloadFeed(again, rows, kSecondStop, kSecondStop, rows.size());
+  WorkloadSeal(again);
+  const std::vector<std::vector<std::string>> got = WorkloadTake(again, qids);
+  for (size_t q = 0; q < got.size(); ++q) {
+    EXPECT_TRUE(IsSuffixOf(got[q], oracle[q])) << "query " << q;
+  }
+  std::vector<size_t> ends;
+  for (const auto& per_query : oracle) ends.push_back(per_query.size());
+  ASSERT_NO_FATAL_FAILURE(expect_slice(got, second_cut, ends));
+
+  // Two restarts later, the catalog log still holds each statement and
+  // each submit exactly once.
+  auto scan = storage::ReadWalFile(dir_ + "/catalog.wal");
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  std::map<std::string, int> statements;
+  std::map<std::string, int> submits;
+  for (const storage::WalRecord& rec : scan->records) {
+    if (rec.type == storage::WalRecordType::kStatement) {
+      auto sql = storage::DecodeStatement(rec);
+      ASSERT_TRUE(sql.ok());
+      ++statements[*sql];
+    } else if (rec.type == storage::WalRecordType::kSubmit) {
+      auto sub = storage::DecodeSubmit(rec);
+      ASSERT_TRUE(sub.ok());
+      ++submits[sub->sql];
+    } else {
+      ADD_FAILURE() << "unexpected catalog record type "
+                    << static_cast<int>(rec.type);
+    }
+  }
+  EXPECT_EQ(statements.size(), 2u);
+  for (const auto& [sql, n] : statements) EXPECT_EQ(n, 1) << sql;
+  EXPECT_EQ(submits.size(), WorkloadQueries().size());
+  for (const auto& [sql, n] : submits) EXPECT_EQ(n, 1) << sql;
+}
+
 // RemoveContinuous is logged and replayed: a removed query stays removed
 // after restart, and the survivors still match the oracle.
 TEST_F(RecoveryTest, RemoveContinuousSurvivesRestart) {
