@@ -433,7 +433,7 @@ Status Durability::Checkpoint() {
 
   // 3. Deliver everything produced before the cut, so a recovered engine
   // re-emits only at-or-after it (the harness dedups by position).
-  for (const auto& e : engine_.SnapshotEmitters()) e->Drain();
+  for (const FactoryPtr& f : engine_.scheduler_.Factories()) f->Deliver();
 
   // 4. Snapshot (tmp + fsync + rotate current->prev + rename).
   DC_RETURN_NOT_OK(

@@ -16,25 +16,22 @@ Emitter::Emitter(std::string name, std::shared_ptr<Basket> basket,
       basket_->RegisterReader(/*from_start=*/true, /*track_batches=*/true);
   cursor_ = basket_->ReaderCursor(reader_id_);
   batch_cursor_ = 0;
-  listener_id_ = basket_->AddListener([this] {
-    {
-      MutexLock lock(wake_mu_);
-      wake_ = true;
-    }
-    wake_cv_.NotifyOne();
-  });
 }
 
-Emitter::~Emitter() {
-  Stop();
-  // Unhook the wake listener before members die: the basket outlives this
-  // emitter (shared ownership) and would otherwise pulse a dangling `this`.
-  basket_->RemoveListener(listener_id_);
-  basket_->UnregisterReader(reader_id_);
-}
+Emitter::~Emitter() { basket_->UnregisterReader(reader_id_); }
 
 int Emitter::Drain() {
   MutexLock lock(drain_mu_);
+  return closed_ ? 0 : DrainLocked();
+}
+
+void Emitter::Close() {
+  MutexLock lock(drain_mu_);
+  if (!closed_) DrainLocked();
+  closed_ = true;
+}
+
+int Emitter::DrainLocked() {
   trace::Span span("emitter.drain", "emitter");
   int delivered = 0;
   for (const BasketBatch& b : basket_->BatchesAfter(batch_cursor_)) {
@@ -64,37 +61,6 @@ int Emitter::Drain() {
     span.set_arg(delivered);
   }
   return delivered;
-}
-
-void Emitter::Start() {
-  if (thread_.joinable()) return;
-  {
-    MutexLock lock(wake_mu_);
-    stop_ = false;
-  }
-  thread_ = std::thread([this] { Run(); });
-}
-
-void Emitter::Stop() {
-  {
-    MutexLock lock(wake_mu_);
-    stop_ = true;
-  }
-  wake_cv_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
-}
-
-void Emitter::Run() {
-  while (true) {
-    {
-      MutexLock lock(wake_mu_);
-      while (!wake_ && !stop_) wake_cv_.Wait(wake_mu_);
-      if (stop_) break;
-      wake_ = false;
-    }
-    Drain();
-  }
-  Drain();  // final flush
 }
 
 EmitterStats Emitter::Stats() const {

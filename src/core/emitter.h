@@ -6,6 +6,9 @@
 // exactly the result sets the factory produced — including zero-row result
 // sets (SQL count=0 windows), which are delivered as empty ColumnSets with
 // the correct schema rather than silently swallowed.
+// An emitter owns no thread: the thread that fired the query's factory (a
+// scheduler worker, or the Pump() caller) drains it right after the fire
+// (Factory::Deliver), holding no scheduler, factory or basket lock.
 
 #ifndef DATACELL_CORE_EMITTER_H_
 #define DATACELL_CORE_EMITTER_H_
@@ -15,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/basket.h"
@@ -31,8 +33,8 @@ struct EmitterStats {
   uint64_t rows = 0;
 };
 
-/// Drains one output basket to one sink. Passive by default (call Drain());
-/// Start() attaches a delivery thread woken by basket appends.
+/// Drains one output basket to one sink, on whichever thread calls
+/// Drain(). Close() ends delivery for good.
 class Emitter {
  public:
   using Sink = std::function<void(const ColumnSet& emission)>;
@@ -51,13 +53,14 @@ class Emitter {
   /// Delivers all complete emissions currently buffered; returns how many.
   int Drain();
 
-  void Start();
-  void Stop();
+  /// Final flush, then no sink call ever again. Waits out an in-flight
+  /// Drain on another thread (both take drain_mu_).
+  void Close();
 
   EmitterStats Stats() const;
 
  private:
-  void Run();
+  int DrainLocked() DC_REQUIRES(drain_mu_);
 
   const std::string name_;
   std::shared_ptr<Basket> basket_;
@@ -65,7 +68,6 @@ class Emitter {
   Sink sink_;
   const std::shared_ptr<monitor::HistogramMetric> latency_;
   int reader_id_;
-  int listener_id_ = -1;  // wake listener on basket_ (removed in dtor)
 
   // Serializes Drain callers. Sinks run under it and may re-enter the
   // engine, so kEmitterDrain ranks above only kMonitor.
@@ -73,17 +75,10 @@ class Emitter {
   // Consumed-up-to row sequence / delivered batch ordinals < batch_cursor_.
   uint64_t cursor_ DC_GUARDED_BY(drain_mu_);
   uint64_t batch_cursor_ DC_GUARDED_BY(drain_mu_);
+  bool closed_ DC_GUARDED_BY(drain_mu_) = false;
   std::atomic<uint64_t> emissions_{0};
   std::atomic<uint64_t> empty_emissions_{0};
   std::atomic<uint64_t> rows_{0};
-
-  std::thread thread_;
-  Mutex wake_mu_{LockRank::kEmitterWake};
-  CondVar wake_cv_;
-  // Set by every output-basket pulse; starts set because batches may
-  // predate the listener (an alias joining a shared output basket).
-  bool wake_ DC_GUARDED_BY(wake_mu_) = true;
-  bool stop_ DC_GUARDED_BY(wake_mu_) = false;
 };
 
 /// Convenience sink buffering emissions for polling (tests, benches).

@@ -83,22 +83,18 @@ Engine::~Engine() {
   // The checkpoint thread walks every other subsystem; stop it before
   // touching any of them.
   if (durability_ != nullptr) durability_->StopCheckpointer();
+  // Workers deliver each fire before they exit, so nothing fired is left
+  // undelivered once they are joined.
   scheduler_.Stop();
-  // Take ownership of the threaded components under mu_, then stop them
-  // OUTSIDE it: Stop() joins threads whose sinks may re-enter the engine,
-  // which would deadlock against a held mu_.
+  // Take ownership of the receptors under mu_, then stop them OUTSIDE it:
+  // Stop() joins threads that push into baskets.
   std::map<int, std::unique_ptr<Receptor>> receptors;
-  std::vector<std::shared_ptr<Emitter>> emitters;
   {
     MutexLock lock(mu_);
     receptors = std::move(receptors_);
     receptors_.clear();
-    for (auto& [id, q] : queries_) {
-      if (q.emitter) emitters.push_back(q.emitter);
-    }
   }
   for (auto& [id, r] : receptors) r->Stop();
-  for (auto& e : emitters) e->Stop();
   // After everything that might record spans has stopped.
   if (options_.enable_tracing) trace::ReleaseEnableRef();
 }
@@ -318,62 +314,73 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
   // unique per query when sharing is off).
   entry.identity_key = full_key;
 
-  // Held across all sharing decisions AND the engine/scheduler wiring
-  // they produce, so a concurrent submit/remove of a matching query
-  // cannot race the refcounts. Fires never take share_mu_, so a
-  // RemoveFactory underneath it still drains.
-  MutexLock share(share_mu_);
-
-  // Tier F: a standing query with the same full compiled identity —
-  // alias its factory; this query only adds a private emitter on the
-  // shared output basket. Otherwise found a new factory.
-  SharedFullEntry* fe = nullptr;
-  if (auto it = full_entries_.find(full_key);
-      options_.enable_sharing && it != full_entries_.end()) {
-    fe = &it->second;
-    ++fe->refs;
-    ++full_hits_;
-    entry.full_key = full_key;
-  }
-  const bool founded = fe == nullptr;
-  if (founded) {
-    DC_ASSIGN_OR_RETURN(fe, FoundFactory(&entry, executor, options.mode,
-                                         prefix_key, full_key));
-  }
-  entry.factory = fe->factory;
-  entry.out_basket = fe->out_basket;
-
-  Emitter::Sink sink = options.sink;
-  if (!sink) {
-    entry.collector = std::make_shared<ResultCollector>();
-    sink = entry.collector->AsSink();
-  }
-  entry.latency = metrics_.GetHistogram("query." + name + ".latency_us");
-  entry.emitter = std::make_shared<Emitter>(name + ".emit", entry.out_basket,
-                                            fe->out_names, std::move(sink),
-                                            entry.latency);
-  if (options_.scheduler_workers > 0) entry.emitter->Start();
-
-  // Log BEFORE the factory reaches the scheduler: a post-fire cursor in
-  // the kSubmit record would make replay resume past emissions still
-  // undrained at a crash. (An alias's logged progress is informational:
-  // replay restores from the snapshot or the founder's record.)
-  if (durability_ != nullptr) {
-    token = durability_->LogSubmit(sql, options, *entry.factory, fe->node);
-  }
-  entry.dur_token = token;
-
-  if (founded) {
-    // Arcs before registration so no pulse lands in the gap; the targeted
-    // kick inside AddFactory covers anything that arrived before the arcs.
-    for (Basket* basket : entry.factory->InputBaskets()) {
-      scheduler_.AttachArc(basket, entry.id);
-    }
-    scheduler_.AddFactory(entry.factory);
-  }
   const int id = entry.id;
-  MutexLock lock(mu_);
-  queries_.emplace(id, std::move(entry));
+  std::shared_ptr<Emitter> emitter;
+  {
+    // Held across all sharing decisions AND the engine/scheduler wiring
+    // they produce, so a concurrent submit/remove of a matching query
+    // cannot race the refcounts. Fires never take share_mu_, so a
+    // RemoveFactory underneath it still drains.
+    MutexLock share(share_mu_);
+
+    // Tier F: a standing query with the same full compiled identity —
+    // alias its factory; this query only adds a private emitter on the
+    // shared output basket. Otherwise found a new factory.
+    SharedFullEntry* fe = nullptr;
+    if (auto it = full_entries_.find(full_key);
+        options_.enable_sharing && it != full_entries_.end()) {
+      fe = &it->second;
+      ++fe->refs;
+      ++full_hits_;
+      entry.full_key = full_key;
+    }
+    const bool founded = fe == nullptr;
+    if (founded) {
+      DC_ASSIGN_OR_RETURN(fe, FoundFactory(&entry, executor, options.mode,
+                                           prefix_key, full_key));
+    }
+    entry.factory = fe->factory;
+    entry.out_basket = fe->out_basket;
+
+    Emitter::Sink sink = options.sink;
+    if (!sink) {
+      entry.collector = std::make_shared<ResultCollector>();
+      sink = entry.collector->AsSink();
+    }
+    entry.latency = metrics_.GetHistogram("query." + name + ".latency_us");
+    entry.emitter =
+        std::make_shared<Emitter>(name + ".emit", entry.out_basket,
+                                  fe->out_names, std::move(sink),
+                                  entry.latency);
+    // Before AddFactory, so a founder's first fire already delivers to it.
+    entry.factory->AttachEmitter(entry.emitter);
+
+    // Log BEFORE the factory reaches the scheduler: a post-fire cursor in
+    // the kSubmit record would make replay resume past emissions still
+    // undrained at a crash. (An alias's logged progress is informational:
+    // replay restores from the snapshot or the founder's record.)
+    if (durability_ != nullptr) {
+      token = durability_->LogSubmit(sql, options, *entry.factory, fe->node);
+    }
+    entry.dur_token = token;
+
+    if (founded) {
+      // Arcs before registration so no pulse lands in the gap; the
+      // targeted kick inside AddFactory covers anything that arrived
+      // before the arcs.
+      for (Basket* basket : entry.factory->InputBaskets()) {
+        scheduler_.AttachArc(basket, entry.id);
+      }
+      scheduler_.AddFactory(entry.factory);
+    }
+    emitter = entry.emitter;
+    MutexLock lock(mu_);
+    queries_.emplace(id, std::move(entry));
+  }
+  // An alias reads the shared output basket from its start: batches already
+  // resident reach its sink here, later ones with the fires that append
+  // them. Outside both locks: the sink may re-enter the engine.
+  emitter->Drain();
   return id;
 }
 
@@ -504,6 +511,7 @@ Status Engine::RemoveContinuous(int query_id) {
       entry = std::move(it->second);
       queries_.erase(it);
     }
+    entry.factory->DetachEmitter(entry.emitter.get());
     auto it = full_entries_.find(entry.full_key);
     if (it != full_entries_.end() && --it->second.refs == 0) {
       SharedFullEntry fe = std::move(it->second);
@@ -520,12 +528,13 @@ Status Engine::RemoveContinuous(int query_id) {
     // removals and submits exactly as the sharing registry saw them.
     if (durability_ != nullptr) durability_->LogRemove(entry.dur_token);
   }
-  // Outside both locks: Stop() joins a thread whose sink may re-enter
-  // the engine.
-  if (entry.emitter) entry.emitter->Stop();
+  // Outside both locks: the final flush runs the sink, which may re-enter
+  // the engine. Close() waits out a delivery in flight on a worker, and
+  // after it the sink is never called again.
+  entry.emitter->Close();
   // Unregister the query's latency series so a later query reusing the
   // name starts from a fresh histogram. Holders of the old shared_ptr
-  // (none, after the emitter stopped) would keep recording harmlessly.
+  // (none, after the emitter closed) would keep recording harmlessly.
   metrics_.Remove("query." + entry.name + ".latency_us");
   return Status::OK();
 }
@@ -695,37 +704,15 @@ Status Engine::Checkpoint() {
   return durability_->Checkpoint();
 }
 
-std::vector<std::shared_ptr<Emitter>> Engine::SnapshotEmitters() const {
-  std::vector<std::shared_ptr<Emitter>> emitters;
-  MutexLock lock(mu_);
-  emitters.reserve(queries_.size());
-  for (const auto& [id, q] : queries_) {
-    if (q.emitter) emitters.push_back(q.emitter);
-  }
-  return emitters;
-}
-
-int Engine::Pump() {
-  int total = 0;
-  while (true) {
-    const int fires = scheduler_.DrainReady();
-    // Drain outside mu_: sinks run inside Drain() and may re-enter the
-    // engine (e.g. a sink that pushes derived rows into another stream).
-    int drained = 0;
-    for (const auto& e : SnapshotEmitters()) drained += e->Drain();
-    total += fires;
-    if (fires == 0 && drained == 0) break;
-  }
-  return total;
-}
+int Engine::Pump() { return scheduler_.DrainReady(); }
 
 bool Engine::WaitIdle(int timeout_ms) {
   const Micros deadline = SteadyMicros() + timeout_ms * kMicrosPerMilli;
   while (SteadyMicros() < deadline) {
     if (!scheduler_.AnyBusyOrReady()) {
-      // Flush emitters (outside mu_ — sinks may re-enter the engine),
-      // then double-check quiescence.
-      for (const auto& e : SnapshotEmitters()) e->Drain();
+      // Deliver what is left, which also waits out a delivery still
+      // running on a worker (drain_mu_), then double-check quiescence.
+      for (const FactoryPtr& f : scheduler_.Factories()) f->Deliver();
       if (!scheduler_.AnyBusyOrReady()) return true;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));

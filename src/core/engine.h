@@ -1,7 +1,7 @@
 // Copyright 2026 The DataCell Authors.
 //
 // Engine: the public facade of MonetDB/DataCell (Fig. 1). Owns the catalog,
-// the stream baskets, the scheduler, and the receptor/emitter fleets, and
+// the stream baskets, the scheduler, the receptors and the emitters, and
 // drives the SQL stack:
 //
 //   Engine dc;
@@ -161,6 +161,8 @@ class Engine {
   /// Default options: incremental mode, buffered results.
   Result<int> SubmitContinuous(std::string_view sql);
 
+  /// Flushes the query's emitter; once this returns its sink is never
+  /// called again. A sink must not remove its own query (self-deadlock).
   Status RemoveContinuous(int query_id);
   /// Note: with sharing enabled, queries aliasing one factory (identical
   /// compiled identity) pause and resume together.
@@ -206,8 +208,9 @@ class Engine {
 
   // --- Driving / introspection -------------------------------------------------
 
-  /// Synchronous mode: fires ready factories and drains emitters until
-  /// quiescent. Returns number of factory firings.
+  /// Synchronous mode: fires ready factories until quiescent, delivering
+  /// each fire's emissions to the sinks on the calling thread. Returns
+  /// number of factory firings.
   int Pump();
 
   /// Threaded mode: blocks until no factory is ready/firing and all
@@ -244,10 +247,9 @@ class Engine {
     ExecMode mode;
     FactoryPtr factory;
     std::shared_ptr<Basket> out_basket;
-    // Shared so Pump/WaitIdle/TakeResults can snapshot it under mu_ and
-    // drain OUTSIDE the lock: sinks run inside Drain() and may re-enter
-    // the engine, and a concurrent RemoveContinuous must not leave a
-    // drainer holding a dangling pointer.
+    // Shared with the factory's delivery list, and so TakeResults can
+    // drain it OUTSIDE mu_ (sinks may re-enter the engine) without a
+    // concurrent RemoveContinuous leaving it a dangling pointer.
     std::shared_ptr<Emitter> emitter;
     std::shared_ptr<ResultCollector> collector;  // when no sink given
     /// Sharing registry key of the factory this query subscribes to (the
@@ -302,9 +304,6 @@ class Engine {
   /// Drops zero-subscriber shared nodes from the registry (their basket
   /// readers unregister with them).
   void PruneIdleNodesLocked() DC_REQUIRES(share_mu_);
-  /// Shared handles to every live emitter, for draining outside mu_.
-  std::vector<std::shared_ptr<Emitter>> SnapshotEmitters() const
-      DC_EXCLUDES(mu_);
   /// Space-wait budget for PushRow/PushColumns: block in threaded mode,
   /// fail fast in synchronous mode (blocking would self-deadlock — only
   /// the pushing thread could ever Pump()).

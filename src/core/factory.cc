@@ -433,6 +433,29 @@ Status Factory::Fire() {
   return st;
 }
 
+void Factory::AttachEmitter(std::shared_ptr<Emitter> emitter) {
+  MutexLock lock(emitters_mu_);
+  emitters_.push_back(std::move(emitter));
+}
+
+void Factory::DetachEmitter(const Emitter* emitter) {
+  MutexLock lock(emitters_mu_);
+  std::erase_if(emitters_, [emitter](const std::shared_ptr<Emitter>& e) {
+    return e.get() == emitter;
+  });
+}
+
+void Factory::Deliver() {
+  std::vector<std::shared_ptr<Emitter>> emitters;
+  {
+    MutexLock lock(emitters_mu_);
+    emitters = emitters_;
+  }
+  // Outside emitters_mu_: a sink may re-enter the engine. An emitter
+  // detached and closed since the copy delivers nothing (Emitter::Close).
+  for (const auto& e : emitters) e->Drain();
+}
+
 Status Factory::FireLocked() {
   switch (shape_) {
     case Shape::kPerBatch:

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/basket.h"
+#include "core/emitter.h"
 #include "core/sharing.h"
 #include "core/window.h"
 #include "exec/executor.h"
@@ -145,6 +146,15 @@ class Factory {
   /// Performs one emission (or one per-batch evaluation). Errors are
   /// stored (visible in Stats) and disable the factory.
   Status Fire();
+
+  /// The emitters of the founder and its tier-F aliases (docs/SHARING.md),
+  /// attached by the engine at submit and detached at removal.
+  void AttachEmitter(std::shared_ptr<Emitter> emitter);
+  void DetachEmitter(const Emitter* emitter);
+
+  /// Drains every attached emitter on the calling thread; the scheduler
+  /// calls it after a fire, holding no scheduler/factory/basket lock.
+  void Deliver();
 
   void Pause();
   void Resume();
@@ -318,6 +328,9 @@ class Factory {
   std::vector<uint8_t> expiry_dirty_ DC_GUARDED_BY(mu_);  // pre-agg path
 
   FactoryStats stats_ DC_GUARDED_BY(mu_);
+  /// Separate from mu_ so delivery never waits out a concurrent fire.
+  mutable Mutex emitters_mu_{LockRank::kDeliveryList};
+  std::vector<std::shared_ptr<Emitter>> emitters_ DC_GUARDED_BY(emitters_mu_);
 };
 
 using FactoryPtr = std::shared_ptr<Factory>;

@@ -194,15 +194,20 @@ void Scheduler::WorkerLoop() {
       it->second.state = EntryState::kRunning;
       c.factory = it->second.factory;
     }
-    bool fired = false;
-    bool error = false;
     if (c.factory->CheckReady()) {
-      const Status st = c.factory->Fire();
-      fired = true;
-      error = !st.ok();
+      FireAndDeliver(c, /*requeue=*/true);
+    } else {
+      CompleteFire(c, /*fired=*/false, /*error=*/false, /*requeue=*/true);
     }
-    CompleteFire(c, fired, error, /*requeue=*/true);
   }
+}
+
+void Scheduler::FireAndDeliver(const Claimed& c, bool requeue) {
+  const Status st = c.factory->Fire();
+  CompleteFire(c, /*fired=*/true, !st.ok(), requeue);
+  // Only now, with the entry back at kIdle: a RemoveFactory waiting under
+  // the sharing registry lock can proceed while a sink re-enters it.
+  c.factory->Deliver();
 }
 
 void Scheduler::Start() {
@@ -258,8 +263,7 @@ int Scheduler::DrainReady() {
     for (Claimed& c : snapshot) {
       if (!c.factory->CheckReady()) continue;
       if (!TryClaimById(c.id)) continue;
-      const Status st = c.factory->Fire();
-      CompleteFire(c, /*fired=*/true, !st.ok(), /*requeue=*/false);
+      FireAndDeliver(c, /*requeue=*/false);
       ++pass_fires;
     }
     fires += pass_fires;

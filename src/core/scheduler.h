@@ -22,6 +22,8 @@
 //    single-threaded experiments. Both modes share the claim/complete
 //    state machine, so they can safely run concurrently with
 //    AddFactory/RemoveFactory.
+// In both modes the firing thread then delivers the fire's emissions to
+// the sinks itself, once the entry is idle again (FireAndDeliver).
 //
 // A pulse enqueues a subscribed factory without probing it (probing takes
 // the factory lock, which must not nest inside the scheduler lock — see
@@ -99,9 +101,9 @@ class Scheduler {
   void AddFactory(FactoryPtr factory);
   /// Unlinks the factory and its arcs; blocks until an in-flight Fire()
   /// completes and removes a still-queued entry from the ready queue, so
-  /// a busy or queued entry is never destroyed mid-flight. Must not be
-  /// called from inside a Fire() (e.g. an emitter sink) — that would
-  /// self-deadlock.
+  /// a busy or queued entry is never destroyed mid-flight. It never waits
+  /// for a delivery (that runs once the entry is kIdle), so the caller may
+  /// hold locks a sink re-enters. Must not be called from inside a Fire().
   void RemoveFactory(int factory_id);
   std::vector<FactoryPtr> Factories() const;
 
@@ -173,6 +175,9 @@ class Scheduler {
   /// re-enqueues the factory if its probe still holds (threaded workers;
   /// DrainReady re-scans instead).
   void CompleteFire(const Claimed& c, bool fired, bool error, bool requeue);
+  /// Fires a claimed factory, completes the fire, then delivers on this
+  /// thread (Factory::Deliver): the one delivery path of both modes.
+  void FireAndDeliver(const Claimed& c, bool requeue);
   void WorkerLoop();
 
   const int num_workers_;

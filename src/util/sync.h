@@ -120,7 +120,8 @@ enum class LockRank : int {
   kWal = 105,           // storage::WalWriter::mu_ (per-basket log file;
                         // appends run under kBasket via the WAL hook)
   kTable = 110,         // Table::mu_
-  kEmitterWake = 120,   // Emitter::wake_mu_ (taken from basket pulses)
+  kDeliveryList = 120,  // Factory::emitters_mu_ (held only to copy or edit
+                        // the list; taken under kSharingRegistry)
   kCollector = 130,     // ResultCollector::mu_ (sink leaf)
   kLogging = 140,       // logging.cc serialization (engine leaf: any engine
                         // code may log while holding any lock below 140)
@@ -164,8 +165,8 @@ inline const char* LockRankName(LockRank r) {
       return "wal";
     case LockRank::kTable:
       return "table";
-    case LockRank::kEmitterWake:
-      return "emitter-wake";
+    case LockRank::kDeliveryList:
+      return "delivery-list";
     case LockRank::kCollector:
       return "collector";
     case LockRank::kLogging:

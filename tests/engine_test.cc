@@ -1,12 +1,15 @@
 // End-to-end tests of the Engine facade: DDL, one-time queries, continuous
 // queries in both execution modes, pause/resume, stream-table joins.
 // The engine runs in synchronous mode (0 workers) and is driven by Pump()
-// for determinism (see tests/test_util.h).
+// for determinism (see tests/test_util.h); the threaded cases build their
+// own engine.
 
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
 #include <thread>
 
 #include "tests/test_util.h"
@@ -287,6 +290,47 @@ TEST(EngineConcurrencyTest, TakeResultsRacesRemoveContinuous) {
     std::thread remover([&] { (void)engine.RemoveContinuous(*qid); });
     taker.join();
     remover.join();
+  }
+}
+
+// Threads in this process, from /proc/self/task (read-only, this process
+// only).
+size_t ThreadCount() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
+
+// Delivery is scheduler work: a threaded engine keeps its worker count
+// however many continuous queries it runs, and still delivers every
+// emission.
+TEST_F(EngineTest, ThreadedDeliveryAddsNoThreadPerQuery) {
+  Engine engine(testutil::Threaded(2));
+  ASSERT_TRUE(
+      engine.Execute("CREATE STREAM s (ts timestamp, v int)").ok());
+  constexpr int kQueries = 16;
+  std::vector<std::atomic<uint64_t>> sink_calls(kQueries);
+  std::vector<int> qids;
+  const size_t threads_before = ThreadCount();
+  for (int k = 0; k < kQueries; ++k) {
+    Engine::ContinuousOptions opts;
+    opts.sink = [&sink_calls, k](const ColumnSet&) { ++sink_calls[k]; };
+    auto qid = engine.SubmitContinuous(
+        StrFormat("SELECT v FROM s WHERE v >= %d", k), opts);
+    ASSERT_TRUE(qid.ok()) << qid.status().ToString();
+    qids.push_back(*qid);
+  }
+  const size_t threads_after = ThreadCount();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(engine.PushRow("s", {Value::Ts(i), Value::I64(i)}).ok());
+  }
+  ASSERT_TRUE(engine.WaitIdle());
+  EXPECT_EQ(threads_after, threads_before);
+  for (int k = 0; k < kQueries; ++k) {
+    const FactoryPtr f = engine.GetFactory(qids[k]);
+    ASSERT_NE(f, nullptr);
+    EXPECT_GT(f->Stats().emissions, 0u);
+    EXPECT_EQ(sink_calls[k].load(), f->Stats().emissions) << "query " << k;
   }
 }
 

@@ -1,10 +1,14 @@
 // Unit tests for receptors (ingestion threads, pacing, pause, CSV source)
-// and emitters (boundary-preserving delivery, collector sink).
+// and emitters (boundary-preserving delivery, collector sink, close, and
+// threaded delivery on the firing scheduler workers).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <thread>
 
 #include "core/emitter.h"
 #include "core/receptor.h"
@@ -145,20 +149,115 @@ TEST(EmitterTest, PreservesEmissionBoundaries) {
   EXPECT_EQ(emitter.Stats().rows, 6u);
 }
 
-TEST(EmitterTest, ThreadedDeliveryOnAppend) {
-  auto basket = std::make_shared<Basket>("out", TsI64Schema(), SIZE_MAX);
-  ResultCollector collector;
-  Emitter emitter("e", basket, {"ts", "v"}, collector.AsSink());
-  emitter.Start();
-  for (int i = 0; i < 10; ++i) {
-    DC_CHECK_OK(basket->Append({Bat::MakeTs({i}), Bat::MakeI64({i})}));
+// Threaded delivery runs on the scheduler worker that fired the query;
+// no emitter owns a thread. Per query: emissions arrive in order, a
+// zero-row result arrives as a typed empty ColumnSet, a paused query
+// delivers nothing until resumed, and factory emissions == emitter
+// emissions == sink calls == latency samples.
+TEST(EmitterTest, ThreadedEngineDelivery) {
+  Engine engine(testutil::Threaded(2));
+  ASSERT_TRUE(engine.Execute("CREATE STREAM s (ts timestamp, v int)").ok());
+  ResultCollector all, none;
+  Engine::ContinuousOptions opts;
+  opts.sink = all.AsSink();
+  auto q_all = engine.SubmitContinuous("SELECT v FROM s", opts);
+  opts.sink = none.AsSink();
+  auto q_none = engine.SubmitContinuous("SELECT v FROM s WHERE v < 0", opts);
+  ASSERT_TRUE(q_all.ok() && q_none.ok());
+
+  auto push = [&](int64_t from, int64_t to) {
+    for (int64_t i = from; i < to; ++i) {
+      ASSERT_TRUE(engine.PushRow("s", {Value::Ts(i), Value::I64(i)}).ok());
+    }
+    ASSERT_TRUE(engine.WaitIdle());
+  };
+  push(0, 100);
+  ASSERT_TRUE(engine.PauseQuery(*q_all).ok());
+  const size_t before_pause = all.EmissionCount();
+  push(100, 200);
+  EXPECT_EQ(all.EmissionCount(), before_pause);  // paused: nothing fired
+  ASSERT_TRUE(engine.ResumeQuery(*q_all).ok());
+  ASSERT_TRUE(engine.WaitIdle());
+
+  // Ordering: per-batch emissions may coalesce pending batches, but the
+  // concatenation is the pushed sequence.
+  std::vector<int64_t> seen;
+  const std::vector<ColumnSet> all_emissions = all.TakeAll();
+  for (const ColumnSet& e : all_emissions) {
+    for (size_t r = 0; r < e.NumRows(); ++r) {
+      seen.push_back(e.cols[0]->GetValue(r).AsI64());
+    }
   }
+  ASSERT_EQ(seen.size(), 200u);
+  for (int64_t i = 0; i < 200; ++i) EXPECT_EQ(seen[i], i);
+
+  const std::vector<ColumnSet> empty_emissions = none.TakeAll();
+  ASSERT_FALSE(empty_emissions.empty());
+  for (const ColumnSet& e : empty_emissions) {
+    EXPECT_EQ(e.NumRows(), 0u);
+    ASSERT_EQ(e.cols.size(), 1u);
+    EXPECT_EQ(e.cols[0]->type(), TypeId::kI64);
+    EXPECT_EQ(e.names[0], "v");
+  }
+
+  const std::map<int, size_t> delivered = {
+      {*q_all, all_emissions.size()}, {*q_none, empty_emissions.size()}};
+  for (const ContinuousQueryInfo& info : engine.Queries()) {
+    SCOPED_TRACE(info.name);
+    EXPECT_EQ(info.factory.emissions, info.emitter.emissions);
+    EXPECT_EQ(info.emitter.emissions, delivered.at(info.id));
+    EXPECT_EQ(info.latency.count(), info.emitter.emissions);
+  }
+  EXPECT_EQ(engine.Queries()[1].emitter.empty_emissions,
+            empty_emissions.size());
+}
+
+// Removing a tier-F alias while its founder keeps firing: the alias's
+// final flush happens inside RemoveContinuous, and its sink is never
+// called after that returns, though workers still deliver to the founder
+// from the same output basket.
+TEST(EmitterTest, RemovedAliasSinkIsNeverCalledAgain) {
+  Engine engine(testutil::Threaded(2));
+  ASSERT_TRUE(engine.Execute("CREATE STREAM s (ts timestamp, v int)").ok());
+  ResultCollector founder;
+  std::atomic<bool> removed{false};
+  std::atomic<uint64_t> alias_calls{0};
+  std::atomic<uint64_t> late_calls{0};
+  Engine::ContinuousOptions opts;
+  opts.sink = founder.AsSink();
+  auto q_founder = engine.SubmitContinuous("SELECT v FROM s", opts);
+  opts.sink = [&](const ColumnSet&) {
+    alias_calls.fetch_add(1);
+    if (removed.load()) late_calls.fetch_add(1);
+  };
+  auto q_alias = engine.SubmitContinuous("SELECT v FROM s", opts);
+  ASSERT_TRUE(q_founder.ok() && q_alias.ok());
+  ASSERT_EQ(engine.GetSharingStats().full_hits, 1u);
+
+  std::atomic<bool> stop{false};
+  std::thread pusher([&] {
+    for (int64_t i = 0; !stop.load(); ++i) {
+      ASSERT_TRUE(engine.PushRow("s", {Value::Ts(i), Value::I64(i)}).ok());
+    }
+  });
   const Micros deadline = SteadyMicros() + 5 * kMicrosPerSecond;
-  while (collector.EmissionCount() < 10 && SteadyMicros() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  while (alias_calls.load() < 20 && SteadyMicros() < deadline) {
+    std::this_thread::yield();
   }
-  emitter.Stop();
-  EXPECT_EQ(collector.EmissionCount(), 10u);
+  EXPECT_GE(alias_calls.load(), 20u);
+  ASSERT_TRUE(engine.RemoveContinuous(*q_alias).ok());
+  removed.store(true);
+  // The founder keeps firing and delivering from the shared basket.
+  const size_t at_removal = founder.EmissionCount();
+  while (founder.EmissionCount() < at_removal + 20 &&
+         SteadyMicros() < deadline) {
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  pusher.join();
+  ASSERT_TRUE(engine.WaitIdle());
+  EXPECT_GE(founder.EmissionCount(), at_removal + 20);
+  EXPECT_EQ(late_calls.load(), 0u);
 }
 
 TEST(EmitterTest, DeliversZeroRowEmissions) {
@@ -182,6 +281,20 @@ TEST(EmitterTest, DeliversZeroRowEmissions) {
   EXPECT_EQ(emitter.Stats().rows, 2u);
   // Draining again delivers nothing: the empty boundary is not replayed.
   EXPECT_EQ(emitter.Drain(), 0);
+}
+
+TEST(EmitterTest, CloseFlushesThenDeliversNothing) {
+  auto basket = std::make_shared<Basket>("out", TsI64Schema(), SIZE_MAX);
+  ResultCollector collector;
+  Emitter emitter("e", basket, {"ts", "v"}, collector.AsSink());
+  DC_CHECK_OK(basket->Append({Bat::MakeTs({1}), Bat::MakeI64({1})}));
+  emitter.Close();  // final flush
+  EXPECT_EQ(collector.EmissionCount(), 1u);
+  DC_CHECK_OK(basket->Append({Bat::MakeTs({2}), Bat::MakeI64({2})}));
+  EXPECT_EQ(emitter.Drain(), 0);
+  emitter.Close();
+  EXPECT_EQ(collector.EmissionCount(), 1u);
+  EXPECT_EQ(emitter.Stats().emissions, 1u);
 }
 
 TEST(EmitterTest, DrainOnEmptyBasketIsNoop) {
