@@ -24,19 +24,6 @@ Basket::Basket(std::string name, Schema schema, size_t ts_col,
   }
 }
 
-void Basket::SetLimits(BasketLimits limits) {
-  {
-    MutexLock lock(mu_);
-    limits_ = limits;
-  }
-  space_cv_.NotifyAll();
-}
-
-BasketLimits Basket::limits() const {
-  MutexLock lock(mu_);
-  return limits_;
-}
-
 Status Basket::ValidateBatch(const std::vector<BatPtr>& cols,
                              uint64_t* n) const {
   if (cols.size() != cols_.size()) {
@@ -66,18 +53,14 @@ size_t Basket::MemoryBytesLocked() const {
 }
 
 bool Basket::AtCapacityLocked() const {
-  if (limits_.max_rows > 0 && high_ - base_ >= limits_.max_rows) return true;
-  if (limits_.max_bytes > 0 && MemoryBytesLocked() >= limits_.max_bytes) {
-    return true;
-  }
-  return false;
+  return limits_.max_rows > 0 && high_ - base_ >= limits_.max_rows;
 }
 
 Status Basket::WaitForSpaceLocked(uint64_t n, Micros timeout_micros) {
   // Admission control: a batch is admitted as soon as the basket is below
   // the bound, so occupancy overshoots by at most the one in-flight batch
   // (and batches larger than the bound still make progress).
-  if (n == 0 || !limits_.bounded() || !AtCapacityLocked()) return Status::OK();
+  if (n == 0 || !AtCapacityLocked()) return Status::OK();
   ++append_stalls_;
   trace::Span stall_span("basket.stall", "basket",
                          static_cast<int64_t>(n));
@@ -118,11 +101,10 @@ Status Basket::WaitForSpaceLocked(uint64_t n, Micros timeout_micros) {
   if (admitted) return Status::OK();
   ++append_timeouts_;
   return Status::ResourceExhausted(
-      StrFormat("basket %s full (%llu resident rows, cap %llu rows/%zu B)",
+      StrFormat("basket %s full (%llu resident rows, cap %llu rows)",
                 name_.c_str(),
                 static_cast<unsigned long long>(high_ - base_),
-                static_cast<unsigned long long>(limits_.max_rows),
-                limits_.max_bytes));
+                static_cast<unsigned long long>(limits_.max_rows)));
 }
 
 Status Basket::Append(const std::vector<BatPtr>& cols, Micros timeout_micros,
@@ -148,16 +130,10 @@ Status Basket::AppendLocked(const std::vector<BatPtr>& cols,
                             Micros ingest_us) {
   const uint64_t n = cols.empty() ? 0 : cols[0]->size();
   if (n == 0) {
-    // A zero-row batch carries no data but its boundary is an emission:
-    // record it in the batch log so emitters deliver the empty result set.
-    // With no batch-tracking reader the boundary has no consumer and is
-    // not retained — otherwise repeated empty appends on a reader-less
-    // basket would grow the log without bound (bypassing the capacity
-    // gate, which zero-row batches are exempt from).
-    bool any_tracker = false;
-    for (const auto& [id, st] : readers_) any_tracker |= st.tracks_batches;
+    // A zero-row batch carries no data: it is counted and logged (the WAL
+    // replays ordinals densely) but not retained, so empty appends cannot
+    // grow the batch log past the capacity gate they are exempt from.
     const BasketBatch boundary{append_batches_, high_, high_, ingest_us};
-    if (any_tracker) batches_.push_back(boundary);
     ++append_batches_;
     ++empty_batches_;
     if (hooks_.on_batch) hooks_.on_batch(boundary, cols);
@@ -293,10 +269,8 @@ void Basket::PushWatermarkStampLocked(Micros watermark, Micros at_us) {
 
 Micros Basket::IngestStampForSeq(uint64_t end_seq) const {
   MutexLock lock(mu_);
-  // batches_ is ascending in end_seq; find the first entry whose end_seq
-  // reaches `end_seq` (zero-row entries share an end_seq with the data
-  // batch before them, and lower_bound lands on the earlier — data —
-  // entry, which carries the arrival time we want).
+  // batches_ holds data batches only, ascending in end_seq; the first
+  // entry whose end_seq reaches `end_seq` holds row end_seq-1.
   auto it = std::lower_bound(
       batches_.begin(), batches_.end(), end_seq,
       [](const BasketBatch& b, uint64_t seq) { return b.end_seq < seq; });
@@ -335,9 +309,9 @@ void Basket::RemoveListener(int listener_id) {
   listeners_.erase(listener_id);
   // A notify pass snapshots listeners before invoking them, so one that
   // started before the erase may still hold this listener. Callers tear
-  // the listener's target down right after we return (e.g. ~Emitter on a
-  // shared output basket whose aliased factory keeps firing), so block
-  // until every in-flight pass has finished.
+  // the listener's target down right after we return (e.g. a scheduler
+  // being destroyed while producers keep appending), so block until every
+  // in-flight pass has finished.
   while (notify_active_ > 0) notify_cv_.Wait(mu_);
 }
 
@@ -359,23 +333,17 @@ void Basket::NotifyAll() {
   if (--notify_active_ == 0) notify_cv_.NotifyAll();
 }
 
-int Basket::RegisterReader(bool from_start, bool track_batches) {
+int Basket::RegisterReader(bool from_start) {
   MutexLock lock(mu_);
   const int id = next_reader_++;
-  ReaderState st;
-  st.cursor = from_start ? base_ : high_;
-  st.tracks_batches = track_batches;
-  st.batch_ord = from_start ? (batches_.empty() ? append_batches_
-                                                : batches_.front().ordinal)
-                            : append_batches_;
-  readers_[id] = st;
+  readers_[id] = from_start ? base_ : high_;
   return id;
 }
 
 uint64_t Basket::ReaderCursor(int reader_id) const {
   MutexLock lock(mu_);
   auto it = readers_.find(reader_id);
-  return it == readers_.end() ? 0 : it->second.cursor;
+  return it == readers_.end() ? 0 : it->second;
 }
 
 void Basket::UnregisterReader(int reader_id) {
@@ -434,19 +402,11 @@ Result<BasketView> Basket::ReadWindowExtent(uint64_t origin_seq,
 }
 
 void Basket::AdvanceReader(int reader_id, uint64_t upto_seq) {
-  // upto_ordinal=0 is a no-op on the batch cursor (it only ever advances).
-  AdvanceReaderBatches(reader_id, upto_seq, 0);
-}
-
-void Basket::AdvanceReaderBatches(int reader_id, uint64_t upto_seq,
-                                  uint64_t upto_ordinal) {
   {
     MutexLock lock(mu_);
     auto it = readers_.find(reader_id);
     if (it == readers_.end()) return;
-    it->second.cursor = std::max(it->second.cursor, upto_seq);
-    it->second.batch_ord =
-        std::max(it->second.batch_ord, std::min(upto_ordinal, append_batches_));
+    it->second = std::max(it->second, upto_seq);
     ShrinkLocked();
   }
   space_cv_.NotifyAll();
@@ -457,14 +417,8 @@ void Basket::ShrinkLocked() {
   // dropped (one-time queries may still want to peek).
   if (readers_.empty()) return;
   uint64_t min_cursor = high_;
-  uint64_t min_batch_ord = UINT64_MAX;
-  bool any_tracker = false;
-  for (const auto& [id, st] : readers_) {
-    min_cursor = std::min(min_cursor, st.cursor);
-    if (st.tracks_batches) {
-      any_tracker = true;
-      min_batch_ord = std::min(min_batch_ord, st.batch_ord);
-    }
+  for (const auto& [id, cursor] : readers_) {
+    min_cursor = std::min(min_cursor, cursor);
   }
   if (min_cursor > base_) {
     const uint64_t drop = min_cursor - base_;
@@ -472,12 +426,8 @@ void Basket::ShrinkLocked() {
     base_ = min_cursor;
   }
   // Trim the batch log: an entry goes once its rows are below the drop
-  // horizon AND every batch-tracking reader has acknowledged its ordinal.
-  // The ordinal condition is what keeps a zero-row boundary sitting exactly
-  // at the horizon alive until its emitter delivers it (and, being
-  // monotone, makes double delivery impossible).
-  while (!batches_.empty() && batches_.front().end_seq <= base_ &&
-         (!any_tracker || batches_.front().ordinal < min_batch_ord)) {
+  // horizon.
+  while (!batches_.empty() && batches_.front().end_seq <= base_) {
     batches_.pop_front();
   }
 }
@@ -497,15 +447,6 @@ Micros Basket::EventWatermark() const {
   return watermark_;
 }
 
-std::vector<BasketBatch> Basket::BatchesAfter(uint64_t from_ordinal) const {
-  MutexLock lock(mu_);
-  std::vector<BasketBatch> out;
-  for (const BasketBatch& b : batches_) {
-    if (b.ordinal >= from_ordinal) out.push_back(b);
-  }
-  return out;
-}
-
 BasketStats Basket::Stats() const {
   MutexLock lock(mu_);
   BasketStats s;
@@ -517,7 +458,6 @@ BasketStats Basket::Stats() const {
   s.memory_bytes = MemoryBytesLocked();
   s.event_watermark = watermark_ == INT64_MIN ? 0 : watermark_;
   s.capacity_rows = limits_.max_rows;
-  s.capacity_bytes = limits_.max_bytes;
   s.resident_hwm_rows = resident_hwm_rows_;
   s.memory_hwm_bytes = memory_hwm_bytes_;
   s.append_stalls = append_stalls_;

@@ -8,17 +8,19 @@
 // Responsibilities:
 //  * columnar append (receptor side), with monotone per-tuple sequence
 //    numbers surviving physical shrinks,
-//  * capacity discipline: an optional row/byte bound (BasketLimits) turns
+//  * capacity discipline: an optional row bound (BasketLimits) turns
 //    Append into a blocking-with-timeout call, so producers experience
 //    backpressure instead of growing the basket without bound,
 //  * multi-reader consumption cursors: a tuple is dropped only after every
-//    registered reader (factory/emitter) has consumed it,
+//    registered reader (factory or shared window node) has consumed it,
 //  * event-time watermark (max event ts seen; heartbeats advance it
 //    without data) used by RANGE-window firing,
-//  * a batch log so emitters can deliver exactly the emissions the factory
-//    produced — including zero-row emissions, whose boundaries survive even
-//    though they carry no data (SQL-faithful empty result sets),
+//  * a batch log of ingest stamps, from which factories resolve the
+//    arrival time that made an emission due (latency),
 //  * occupancy/throughput/stall statistics for the monitor pane.
+//
+// Baskets serve input streams only: a factory hands its emissions
+// straight to its emitters (core/emitter.h).
 //
 // Capacity semantics: a batch is admitted whenever the basket is below its
 // bound, so occupancy may overshoot by at most one in-flight batch (this
@@ -27,8 +29,9 @@
 // frees space (AdvanceReader/UnregisterReader -> shrink); with a timeout it
 // returns Status::ResourceExhausted so callers like the receptor can park
 // in interruptible slices. Heartbeat/Seal are never blocked by capacity —
-// watermarks keep advancing under backpressure. Zero-row appends record a
-// batch boundary but no rows, so they bypass the capacity gate too.
+// watermarks keep advancing under backpressure. Zero-row appends carry no
+// rows, so they bypass the capacity gate too: they are only counted
+// (BasketStats::empty_batches) and logged.
 //
 // Event timestamps are required to be non-decreasing per stream; receptors
 // clamp out-of-order input (documented simplification).
@@ -50,13 +53,10 @@
 
 namespace dc {
 
-/// Capacity bound of one basket. Zero means unbounded in that dimension
-/// (the pre-backpressure behavior).
+/// Capacity bound of one basket. Zero means unbounded (the
+/// pre-backpressure behavior).
 struct BasketLimits {
   uint64_t max_rows = 0;  // resident-row bound
-  size_t max_bytes = 0;   // resident-memory bound
-
-  bool bounded() const { return max_rows > 0 || max_bytes > 0; }
 };
 
 /// Statistics snapshot of one basket (monitor pane / Fig. 4).
@@ -65,12 +65,11 @@ struct BasketStats {
   uint64_t dropped_total = 0;
   uint64_t resident_rows = 0;
   uint64_t append_batches = 0;
-  uint64_t empty_batches = 0;  // zero-row boundaries (empty emissions)
+  uint64_t empty_batches = 0;  // zero-row appends (counted, not retained)
   size_t memory_bytes = 0;
   Micros event_watermark = 0;
   // Capacity / backpressure figures:
   uint64_t capacity_rows = 0;       // 0 = unbounded
-  size_t capacity_bytes = 0;        // 0 = unbounded
   uint64_t resident_hwm_rows = 0;   // occupancy high watermark
   size_t memory_hwm_bytes = 0;
   // Append attempts that had to wait for space / wait slices that expired
@@ -80,7 +79,7 @@ struct BasketStats {
   uint64_t append_stalls = 0;
   uint64_t append_timeouts = 0;
   Micros stall_micros = 0;          // total time producers spent waiting
-  /// Registered readers (factories, shared nodes, emitters). With sharing
+  /// Registered readers (factories, shared nodes). With sharing
   /// enabled a stream has one reader per shared node / private factory,
   /// not one per query — the multi-query benches assert this stays O(1).
   uint64_t readers = 0;
@@ -95,16 +94,14 @@ struct BasketView {
 };
 
 /// One entry of the basket's batch log. Ordinals are assigned densely in
-/// append order and never reused; begin_seq == end_seq for a zero-row batch.
+/// append order and never reused; begin_seq == end_seq for a zero-row batch
+/// (which the WAL logs but the batch log does not retain).
 struct BasketBatch {
   uint64_t ordinal = 0;
   uint64_t begin_seq = 0;
   uint64_t end_seq = 0;
-  /// Ingest stamp (SteadyMicros) of the append that created this batch.
-  /// On stream baskets this is the arrival time; on factory output
-  /// baskets the factory passes through the *trigger* stamp of the input
-  /// batch that made the emission due, so an emitter's
-  /// `SteadyMicros() - ingest_us` is end-to-end ingest→delivery latency
+  /// Ingest stamp (SteadyMicros) of the append that created this batch:
+  /// the arrival time a factory passes on as an emission's trigger stamp
   /// (docs/OBSERVABILITY.md). < 0 when unknown.
   Micros ingest_us = -1;
 };
@@ -124,16 +121,11 @@ class Basket {
   size_t ts_col() const { return ts_col_; }
   bool HasEventTime() const { return ts_col_ != SIZE_MAX; }
 
-  /// Replaces the capacity bound; wakes producers blocked on space (a
-  /// raised/removed bound may admit them immediately).
-  void SetLimits(BasketLimits limits);
-  BasketLimits limits() const;
-
   // --- Producer side ---------------------------------------------------------
 
-  /// Appends a batch of typed columns (one append = one batch boundary,
-  /// including for zero-row batches). Event timestamps are clamped to be
-  /// non-decreasing. If the basket is at capacity, waits up to
+  /// Appends a batch of typed columns (one append = one batch-log entry;
+  /// a zero-row batch is only counted and logged). Event timestamps are
+  /// clamped to be non-decreasing. If the basket is at capacity, waits up to
   /// `timeout_micros` for readers to free space (kBlockForever = wait
   /// indefinitely, 0 = fail immediately) and returns
   /// Status::ResourceExhausted when the wait expires.
@@ -141,9 +133,8 @@ class Basket {
   /// `ingest_us` is the batch's ingest stamp: < 0 (the default) stamps
   /// the batch with SteadyMicros() at entry — *before* any capacity
   /// wait, so backpressure stalls count toward downstream latency; a
-  /// caller relaying tuples it ingested earlier (receptor retry slices,
-  /// factories appending emissions to output baskets) passes the
-  /// original source stamp through instead.
+  /// caller relaying tuples it ingested earlier (receptor retry slices)
+  /// passes the original source stamp through instead.
   Status Append(const std::vector<BatPtr>& cols,
                 Micros timeout_micros = kBlockForever, Micros ingest_us = -1);
 
@@ -199,10 +190,10 @@ class Basket {
   /// RemoveListener. Listeners are invoked outside the basket lock.
   /// RemoveListener blocks until every in-flight notify pass has finished,
   /// so once it returns the listener can never run again and its captures
-  /// may be destroyed — required by emitters on shared output baskets,
-  /// where an aliased factory keeps appending after one alias is removed
-  /// (docs/SHARING.md). Consequently a listener must never call
-  /// RemoveListener on its own basket.
+  /// may be destroyed — required by scheduler teardown, whose pulse
+  /// listener captures the scheduler while producers keep appending.
+  /// Consequently a listener must never call RemoveListener on its own
+  /// basket.
   int AddListener(std::function<void()> fn);
   void RemoveListener(int listener_id);
 
@@ -210,11 +201,8 @@ class Basket {
 
   /// Registers a reader; its cursor starts at the current high sequence
   /// (readers only see tuples that arrive after registration) unless
-  /// `from_start` is true. A reader that consumes the batch log (an
-  /// emitter) passes `track_batches`: batch entries are then retained until
-  /// it acknowledges them via AdvanceReaderBatches, so zero-row boundaries
-  /// at the drop horizon cannot be trimmed before delivery.
-  int RegisterReader(bool from_start = false, bool track_batches = false);
+  /// `from_start` is true.
+  int RegisterReader(bool from_start = false);
   void UnregisterReader(int reader_id);
 
   /// Current consumed-up-to cursor of a reader (its registration origin
@@ -250,11 +238,6 @@ class Basket {
   /// empty basket, since no later advance would release them.
   void AdvanceReader(int reader_id, uint64_t upto_seq);
 
-  /// AdvanceReader for batch-tracking readers: additionally acknowledges
-  /// batch-log entries with ordinal < `upto_ordinal` as delivered.
-  void AdvanceReaderBatches(int reader_id, uint64_t upto_seq,
-                            uint64_t upto_ordinal);
-
   /// Total appended so far; row sequence numbers are [0, HighSeq).
   uint64_t HighSeq() const;
 
@@ -263,13 +246,6 @@ class Basket {
 
   /// Event-time watermark (max event ts observed, or heartbeat).
   Micros EventWatermark() const;
-
-  /// Batch log entries with ordinal >= `from_ordinal` (delivery cursor for
-  /// emitters; includes zero-row batches). Entries are trimmed once their
-  /// rows fall below the drop horizon and every batch-tracking reader has
-  /// acknowledged them; zero-row entries are retained only when a
-  /// batch-tracking reader exists to deliver them.
-  std::vector<BasketBatch> BatchesAfter(uint64_t from_ordinal) const;
 
   // --- Latency stamps (docs/OBSERVABILITY.md) -------------------------------
 
@@ -291,12 +267,6 @@ class Basket {
   BasketStats Stats() const;
 
  private:
-  struct ReaderState {
-    uint64_t cursor = 0;     // consumed-up-to row sequence
-    uint64_t batch_ord = 0;  // acknowledged batch ordinals < this
-    bool tracks_batches = false;
-  };
-
   Status AppendLocked(const std::vector<BatPtr>& cols, Micros ingest_us)
       DC_REQUIRES(mu_);
   Status ValidateBatch(const std::vector<BatPtr>& cols, uint64_t* n) const
@@ -314,19 +284,20 @@ class Basket {
   const std::string name_;
   const Schema schema_;
   const size_t ts_col_;
+  const BasketLimits limits_;
 
   mutable Mutex mu_{LockRank::kBasket};
   CondVar space_cv_;  // pulsed when readers free space
-  BasketLimits limits_ DC_GUARDED_BY(mu_);
   // Resident rows, seq [base_, high_). The column pointers are fixed at
   // construction but the Bats they point at mutate under mu_.
   std::vector<BatPtr> cols_ DC_GUARDED_BY(mu_);
   uint64_t base_ DC_GUARDED_BY(mu_) = 0;  // dropped prefix length
   uint64_t high_ DC_GUARDED_BY(mu_) = 0;  // total appended
   Micros watermark_ DC_GUARDED_BY(mu_) = INT64_MIN;
-  std::map<int, ReaderState> readers_ DC_GUARDED_BY(mu_);
+  // Reader id -> consumed-up-to row sequence.
+  std::map<int, uint64_t> readers_ DC_GUARDED_BY(mu_);
   int next_reader_ DC_GUARDED_BY(mu_) = 0;
-  // Batch log, trimmed in ShrinkLocked.
+  // Batch log of the data batches, trimmed in ShrinkLocked.
   std::deque<BasketBatch> batches_ DC_GUARDED_BY(mu_);
   // Watermark-advance stamps: (watermark value, ingest stamp of the
   // append/heartbeat that reached it), ascending in both fields; bounded

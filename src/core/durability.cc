@@ -35,7 +35,6 @@ Durability::Durability(Engine* engine)
 }
 
 Durability::~Durability() {
-  StopCheckpointer();
   // Graceful shutdown keeps the full logs: force the unsynced tails
   // durable so a restart replays everything (kInterval/kNever lose the
   // tail only on a crash). Nothing appends any more: the engine has
@@ -48,10 +47,6 @@ Durability::~Durability() {
 Result<std::unique_ptr<Durability>> Durability::Recover(Engine* engine) {
   std::unique_ptr<Durability> d(new Durability(engine));
   DC_RETURN_NOT_OK(d->Replay());
-  if (d->opts_.checkpoint_interval_ms > 0 &&
-      engine->options_.scheduler_workers > 0) {
-    d->ckpt_thread_ = std::thread(&Durability::CheckpointLoop, d.get());
-  }
   return d;
 }
 
@@ -450,32 +445,6 @@ Status Durability::Checkpoint() {
   }
   last_horizons_ = std::move(horizons);
   return Status::OK();
-}
-
-void Durability::StopCheckpointer() {
-  if (!ckpt_thread_.joinable()) return;
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  stop_cv_.NotifyAll();
-  ckpt_thread_.join();
-}
-
-void Durability::CheckpointLoop() {
-  const int64_t interval_us =
-      static_cast<int64_t>(opts_.checkpoint_interval_ms) * kMicrosPerMilli;
-  while (true) {
-    {
-      MutexLock lock(mu_);
-      if (!stop_) stop_cv_.WaitFor(mu_, interval_us);
-      if (stop_) return;
-    }
-    const Status s = Checkpoint();
-    if (!s.ok()) {
-      DC_LOG(kWarn) << "periodic checkpoint failed: " << s.ToString();
-    }
-  }
 }
 
 }  // namespace dc

@@ -2,7 +2,7 @@
 //
 // Durability manager (docs/DURABILITY.md): the WAL environment, the
 // catalog log, one log per stream basket and the basket hooks feeding
-// it, checkpoints and their thread, the wal.*/snapshot.*/recovery.*
+// it, checkpoints, the wal.*/snapshot.*/recovery.*
 // counters, and recovery. Recovery replays through the engine's live
 // paths (ExecuteOne, SubmitInternal, RemoveContinuous, Basket::Append),
 // and the engine sees the manager only once it is live — catalog log
@@ -15,7 +15,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "core/engine.h"
 #include "storage/wal.h"
@@ -26,20 +25,14 @@ namespace dc {
 
 class Durability {
  public:
-  /// Recovers `engine` from its durability directory, opens every log and
-  /// starts the checkpointer (threaded, checkpoint_interval_ms > 0). Runs
-  /// before the scheduler starts, so the replay is single-threaded and
-  /// deterministic. On error no basket is left hooked.
+  /// Recovers `engine` from its durability directory and opens every log.
+  /// Runs before the scheduler starts, so the replay is single-threaded
+  /// and deterministic. On error no basket is left hooked.
   static Result<std::unique_ptr<Durability>> Recover(Engine* engine);
-  /// Joins the checkpointer and syncs every log: a graceful shutdown
-  /// loses nothing.
+  /// Syncs every log: a graceful shutdown loses nothing.
   ~Durability();
   Durability(const Durability&) = delete;
   Durability& operator=(const Durability&) = delete;
-
-  /// Joins the checkpointer; engine teardown calls it before stopping
-  /// anything a checkpoint walks.
-  void StopCheckpointer();
 
   // The engine's four logging sites. Catalog-append failures are logged,
   // not propagated: the operation is already live.
@@ -63,7 +56,6 @@ class Durability {
   explicit Durability(Engine* engine);
 
   Status Replay();
-  void CheckpointLoop();
 
   Engine& engine_;
   const EngineOptions::DurabilityOptions opts_;
@@ -88,13 +80,10 @@ class Durability {
 
   /// A leaf: held only to touch the members below, never across a call.
   Mutex mu_{LockRank::kLeaf};
-  CondVar stop_cv_;
-  bool stop_ DC_GUARDED_BY(mu_) = false;
   /// Outlive the baskets whose hooks point at them (the engine declares
   /// the manager before its basket map).
   std::map<std::string, std::unique_ptr<storage::WalWriter>> basket_wals_
       DC_GUARDED_BY(mu_);
-  std::thread ckpt_thread_;
 };
 
 }  // namespace dc

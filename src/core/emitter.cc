@@ -4,63 +4,57 @@
 
 namespace dc {
 
-Emitter::Emitter(std::string name, std::shared_ptr<Basket> basket,
-                 std::vector<std::string> column_names, Sink sink,
+Emitter::Emitter(std::string name, Sink sink,
                  std::shared_ptr<monitor::HistogramMetric> latency)
     : name_(std::move(name)),
-      basket_(std::move(basket)),
-      column_names_(std::move(column_names)),
       sink_(std::move(sink)),
-      latency_(std::move(latency)) {
-  reader_id_ =
-      basket_->RegisterReader(/*from_start=*/true, /*track_batches=*/true);
-  cursor_ = basket_->ReaderCursor(reader_id_);
-  batch_cursor_ = 0;
-}
+      latency_(std::move(latency)) {}
 
-Emitter::~Emitter() { basket_->UnregisterReader(reader_id_); }
+void Emitter::Enqueue(std::shared_ptr<const ColumnSet> emission,
+                      Micros trigger_us) {
+  MutexLock lock(queue_mu_);
+  if (closed_) return;
+  queued_rows_ += emission->NumRows();
+  queue_.push_back(Pending{std::move(emission), trigger_us});
+}
 
 int Emitter::Drain() {
   MutexLock lock(drain_mu_);
-  return closed_ ? 0 : DrainLocked();
+  return DrainLocked();
 }
 
 void Emitter::Close() {
   MutexLock lock(drain_mu_);
-  if (!closed_) DrainLocked();
+  DrainLocked();
+  MutexLock queue(queue_mu_);
   closed_ = true;
+  queue_.clear();
+  queued_rows_ = 0;
 }
 
 int Emitter::DrainLocked() {
-  trace::Span span("emitter.drain", "emitter");
-  int delivered = 0;
-  for (const BasketBatch& b : basket_->BatchesAfter(batch_cursor_)) {
-    // A zero-row batch reads back as typed empty columns, so the sink sees
-    // the emission with its schema intact.
-    BasketView view = basket_->Read(cursor_, b.end_seq - cursor_);
-    ColumnSet emission;
-    emission.names = column_names_;
-    emission.cols = std::move(view.cols);
-    if (sink_) sink_(emission);
-    rows_.fetch_add(view.rows);
+  std::deque<Pending> batch;
+  {
+    MutexLock lock(queue_mu_);
+    if (closed_) return 0;
+    batch.swap(queue_);
+    queued_rows_ = 0;
+  }
+  if (batch.empty()) return 0;  // idle tick, not worth a trace event
+  trace::Span span("emitter.drain", "emitter",
+                   static_cast<int64_t>(batch.size()));
+  for (const Pending& p : batch) {
+    const uint64_t rows = p.emission->NumRows();
+    if (sink_) sink_(*p.emission);
+    rows_.fetch_add(rows);
     emissions_.fetch_add(1);
-    if (view.rows == 0) empty_emissions_.fetch_add(1);
-    // Delivery closes the latency clock the batch's ingest stamp opened
-    // (for factory outputs: the trigger stamp of the source input).
-    if (latency_ != nullptr && b.ingest_us >= 0) {
-      latency_->Record(SteadyMicros() - b.ingest_us);
+    if (rows == 0) empty_emissions_.fetch_add(1);
+    // Delivery closes the latency clock the trigger stamp opened.
+    if (latency_ != nullptr && p.trigger_us >= 0) {
+      latency_->Record(SteadyMicros() - p.trigger_us);
     }
-    cursor_ = b.end_seq;
-    batch_cursor_ = b.ordinal + 1;
-    basket_->AdvanceReaderBatches(reader_id_, cursor_, batch_cursor_);
-    ++delivered;
   }
-  if (delivered == 0) {
-    span.Cancel();  // idle tick, not worth a trace event
-  } else {
-    span.set_arg(delivered);
-  }
-  return delivered;
+  return static_cast<int>(batch.size());
 }
 
 EmitterStats Emitter::Stats() const {
@@ -68,6 +62,8 @@ EmitterStats Emitter::Stats() const {
   s.emissions = emissions_.load();
   s.empty_emissions = empty_emissions_.load();
   s.rows = rows_.load();
+  MutexLock lock(queue_mu_);
+  s.pending_rows = queued_rows_;
   return s;
 }
 

@@ -80,9 +80,6 @@ Engine::Engine(EngineOptions options)
 }
 
 Engine::~Engine() {
-  // The checkpoint thread walks every other subsystem; stop it before
-  // touching any of them.
-  if (durability_ != nullptr) durability_->StopCheckpointer();
   // Workers deliver each fire before they exit, so nothing fired is left
   // undelivered once they are joined.
   scheduler_.Stop();
@@ -315,7 +312,6 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
   entry.identity_key = full_key;
 
   const int id = entry.id;
-  std::shared_ptr<Emitter> emitter;
   {
     // Held across all sharing decisions AND the engine/scheduler wiring
     // they produce, so a concurrent submit/remove of a matching query
@@ -324,8 +320,9 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
     MutexLock share(share_mu_);
 
     // Tier F: a standing query with the same full compiled identity —
-    // alias its factory; this query only adds a private emitter on the
-    // shared output basket. Otherwise found a new factory.
+    // alias its factory; this query only attaches a private emitter, which
+    // receives the emissions fired from now on. Otherwise found a new
+    // factory.
     SharedFullEntry* fe = nullptr;
     if (auto it = full_entries_.find(full_key);
         options_.enable_sharing && it != full_entries_.end()) {
@@ -340,7 +337,6 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
                                            prefix_key, full_key));
     }
     entry.factory = fe->factory;
-    entry.out_basket = fe->out_basket;
 
     Emitter::Sink sink = options.sink;
     if (!sink) {
@@ -348,10 +344,8 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
       sink = entry.collector->AsSink();
     }
     entry.latency = metrics_.GetHistogram("query." + name + ".latency_us");
-    entry.emitter =
-        std::make_shared<Emitter>(name + ".emit", entry.out_basket,
-                                  fe->out_names, std::move(sink),
-                                  entry.latency);
+    entry.emitter = std::make_shared<Emitter>(name + ".emit", std::move(sink),
+                                              entry.latency);
     // Before AddFactory, so a founder's first fire already delivers to it.
     entry.factory->AttachEmitter(entry.emitter);
 
@@ -373,14 +367,9 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
       }
       scheduler_.AddFactory(entry.factory);
     }
-    emitter = entry.emitter;
     MutexLock lock(mu_);
     queries_.emplace(id, std::move(entry));
   }
-  // An alias reads the shared output basket from its start: batches already
-  // resident reach its sink here, later ones with the fires that append
-  // them. Outside both locks: the sink may re-enter the engine.
-  emitter->Drain();
   return id;
 }
 
@@ -453,23 +442,8 @@ Result<Engine::SharedFullEntry*> Engine::FoundFactory(
     }
   }
 
-  // Output basket: result schema.
-  Schema out_schema;
-  const std::vector<TypeId> out_types = exec::OutputTypes(executor->compiled());
-  const std::vector<std::string>& out_names =
-      executor->compiled().finish.out_names;
-  for (size_t i = 0; i < out_types.size(); ++i) {
-    // Result columns may repeat names; make them unique for the schema.
-    std::string col = out_names[i];
-    while (out_schema.Has(col)) col += "_";
-    DC_RETURN_NOT_OK(out_schema.AddColumn(col, out_types[i]));
-  }
-  auto out_basket =
-      std::make_shared<Basket>(entry->name + ".out", out_schema);
-
   auto factory = Factory::Create(entry->id, entry->name, executor, mode,
-                                 std::move(inputs), out_basket, node,
-                                 node_sub);
+                                 std::move(inputs), node, node_sub);
   if (!factory.ok()) {
     if (node != nullptr) {
       node->Unsubscribe(node_sub);
@@ -488,8 +462,6 @@ Result<Engine::SharedFullEntry*> Engine::FoundFactory(
   fe.factory_id = entry->id;
   fe.refs = 1;
   fe.factory = *std::move(factory);
-  fe.out_basket = std::move(out_basket);
-  fe.out_names = out_names;
   fe.node = node;
   fe.node_sub = node_sub;
   return &full_entries_.emplace(entry->full_key, std::move(fe)).first->second;
@@ -745,7 +717,6 @@ std::vector<ContinuousQueryInfo> Engine::Queries() const {
     }
     if (q.latency != nullptr) info.latency = q.latency->Snapshot();
     if (q.emitter) info.emitter = q.emitter->Stats();
-    if (q.out_basket) info.out_basket = q.out_basket->Stats();
     for (const FactoryInput& in : q.factory->inputs()) {
       if (in.is_stream) {
         info.input_streams.push_back(in.basket->name());

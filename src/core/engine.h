@@ -55,10 +55,8 @@ struct EngineOptions {
   /// reads, or any full stream in synchronous mode (only the pushing
   /// thread could Pump()). The
   /// default is generous (tuples are consumed long before it bites);
-  /// {0, 0} restores unbounded pre-backpressure behavior.
-  /// Query output baskets stay unbounded: they are drained by emitters,
-  /// and blocking a factory mid-fire would stall the scheduler.
-  BasketLimits basket_limits{/*max_rows=*/1 << 20, /*max_bytes=*/0};
+  /// {0} restores unbounded pre-backpressure behavior.
+  BasketLimits basket_limits{/*max_rows=*/1 << 20};
 
   /// Multi-query sharing (docs/SHARING.md): queries with matching
   /// compiled identities alias one factory, and compatible windowed
@@ -82,10 +80,6 @@ struct EngineOptions {
     /// synced (DDL/submits are rare); checkpoints force-sync everything.
     storage::FsyncPolicy fsync = storage::FsyncPolicy::kInterval;
     int fsync_interval_batches = 64;
-    /// > 0: a background thread checkpoints this often (threaded engines
-    /// only — synchronous mode stays thread-free; call Checkpoint()
-    /// directly). 0 = manual checkpoints only.
-    int checkpoint_interval_ms = 0;
     /// File-system abstraction override (crash-injection tests); null
     /// uses the real filesystem. Recovery always reads the real files.
     storage::WalEnv* env = nullptr;
@@ -108,8 +102,7 @@ struct ContinuousQueryInfo {
   std::string sql;
   ExecMode mode = ExecMode::kFullReeval;
   FactoryStats factory;
-  EmitterStats emitter;
-  BasketStats out_basket;  // emission buffer occupancy/backlog
+  EmitterStats emitter;  // pending_rows: emissions queued, not delivered
   std::vector<std::string> input_streams;
   std::vector<std::string> input_tables;
   /// Queries currently sharing this query's factory (itself included);
@@ -246,7 +239,6 @@ class Engine {
     std::string name;
     ExecMode mode;
     FactoryPtr factory;
-    std::shared_ptr<Basket> out_basket;
     // Shared with the factory's delivery list, and so TakeResults can
     // drain it OUTSIDE mu_ (sinks may re-enter the engine) without a
     // concurrent RemoveContinuous leaving it a dangling pointer.
@@ -272,16 +264,14 @@ class Engine {
 
   /// One refcounted shared factory (tier F, docs/SHARING.md): every
   /// submitted query publishes its factory here keyed by full compiled
-  /// identity; later identical queries alias it (refs++) with their own
-  /// emitters on the shared output basket. The factory leaves the
+  /// identity; later identical queries alias it (refs++) and attach their
+  /// own emitters to it. The factory leaves the
   /// scheduler — and its node subscription, when it is a tail — only
   /// when refs hits zero.
   struct SharedFullEntry {
     int factory_id = 0;  // scheduler id (the first subscriber's query id)
     int refs = 0;
     FactoryPtr factory;
-    std::shared_ptr<Basket> out_basket;
-    std::vector<std::string> out_names;
     SharedWindowNodePtr node;  // set when the factory is a shared tail
     int node_sub = -1;         // engine-owned node subscription
   };

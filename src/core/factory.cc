@@ -15,15 +15,13 @@ const char* ExecModeName(ExecMode m) {
 
 Factory::Factory(int id, std::string name,
                  std::shared_ptr<exec::QueryExecutor> executor, ExecMode mode,
-                 std::vector<FactoryInput> inputs,
-                 std::shared_ptr<Basket> output, SharedWindowNodePtr node,
+                 std::vector<FactoryInput> inputs, SharedWindowNodePtr node,
                  int sub_id)
     : id_(id),
       name_(std::move(name)),
       executor_(std::move(executor)),
       mode_(mode),
       inputs_(std::move(inputs)),
-      output_(std::move(output)),
       node_(std::move(node)),
       node_sub_(sub_id) {}
 
@@ -37,15 +35,14 @@ Factory::~Factory() {
 
 Result<std::shared_ptr<Factory>> Factory::Create(
     int id, std::string name, std::shared_ptr<exec::QueryExecutor> executor,
-    ExecMode mode, std::vector<FactoryInput> inputs,
-    std::shared_ptr<Basket> output, SharedWindowNodePtr node, int sub_id) {
+    ExecMode mode, std::vector<FactoryInput> inputs, SharedWindowNodePtr node,
+    int sub_id) {
   if (node != nullptr && sub_id < 0) {
     return Status::InvalidArgument("a node tail requires a subscription");
   }
   auto f = std::shared_ptr<Factory>(
       new Factory(id, std::move(name), std::move(executor), mode,
-                  std::move(inputs), std::move(output), std::move(node),
-                  sub_id));
+                  std::move(inputs), std::move(node), sub_id));
   {
     // Pre-publication, so uncontended — taken for the thread-safety
     // analysis, which checks Validate's guarded writes against mu_.
@@ -402,16 +399,16 @@ Micros Factory::TriggerStampLocked(int64_t emission) const {
   return stamp;
 }
 
-Status Factory::EmitResult(const ColumnSet& result, Micros trigger_us) {
-  // Zero-row results are appended too: the basket records their batch
-  // boundary, so the emitter delivers the empty result set and `emissions`
-  // stays equal to emitter-delivered emissions.
-  DC_RETURN_NOT_OK(
-      output_->Append(result.cols, Basket::kBlockForever, trigger_us));
+void Factory::EmitResult(ColumnSet result, Micros trigger_us) {
+  // Zero-row results are queued too, so the emitter delivers the empty
+  // result set and `emissions` stays equal to emitter-delivered emissions.
   stats_.tuples_out += result.NumRows();
   stats_.emissions++;
   if (result.NumRows() == 0) stats_.empty_emissions++;
-  return Status::OK();
+  if (trigger_us < 0) trigger_us = SteadyMicros();
+  auto emission = std::make_shared<const ColumnSet>(std::move(result));
+  MutexLock lock(emitters_mu_);
+  for (const auto& e : emitters_) e->Enqueue(emission, trigger_us);
 }
 
 Status Factory::Fire() {
@@ -484,7 +481,7 @@ Status Factory::FirePerBatch() {
   if (table_rel_ >= 0) raw[table_rel_] = TableInput(table_rel_);
   stats_.tuples_in += raw[rel].rows;
   DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->ExecuteFull(raw));
-  DC_RETURN_NOT_OK(EmitResult(result, trigger));
+  EmitResult(std::move(result), trigger);
   batch_cursor_ = view.first_seq + view.rows;
   in.basket->AdvanceReader(in.reader_id, batch_cursor_);
   return Status::OK();
@@ -504,7 +501,7 @@ Status Factory::FireSingleWindow() {
   if (table_rel_ >= 0) raw[table_rel_] = TableInput(table_rel_);
   stats_.tuples_in += raw[rel].rows;
   DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->ExecuteFull(raw));
-  DC_RETURN_NOT_OK(EmitResult(result, TriggerStampLocked(k)));
+  EmitResult(std::move(result), TriggerStampLocked(k));
 
   // Release consumed tuples: everything before the next window's start.
   const int64_t next_lo = wm.Extent(k + 1).first;
@@ -538,7 +535,7 @@ Status Factory::FireSharedTail() {
   ps.reserve(parts.size());
   for (const PartialPtr& p : parts) ps.push_back(p.get());
   DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->Finish(ps));
-  DC_RETURN_NOT_OK(EmitResult(result, trigger));
+  EmitResult(std::move(result), trigger);
 
   // Release everything before the next window's start; the node advances
   // its reader / evicts at the minimum mark across subscribers.
@@ -562,7 +559,7 @@ Status Factory::FireDualWindow() {
     DC_ASSIGN_OR_RETURN(raw[r], ReadStreamExtent(r, false, rlo, rhi));
     stats_.tuples_in += raw[l].rows + raw[r].rows;
     DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->ExecuteFull(raw));
-    DC_RETURN_NOT_OK(EmitResult(result, TriggerStampLocked(m)));
+    EmitResult(std::move(result), TriggerStampLocked(m));
   } else {
     DC_RETURN_NOT_OK(FireDualWindowDelta(m, wl, wr));
   }
@@ -856,7 +853,7 @@ Status Factory::FireDualWindowDelta(int64_t m, const WindowMath& wl,
   ps.reserve(partials_.size());
   for (const auto& [key, p] : partials_) ps.push_back(&p);
   DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->Finish(ps));
-  DC_RETURN_NOT_OK(EmitResult(result, TriggerStampLocked(m)));
+  EmitResult(std::move(result), TriggerStampLocked(m));
 
   // Evict pairs gone by the next emission.
   std::erase_if(partials_,

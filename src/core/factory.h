@@ -4,7 +4,7 @@
 // the co-routine-like unit the scheduler fires. Each factory encloses a
 // compiled (partial) query plan; every Fire() consumes available input from
 // its input baskets (and persistent tables), evaluates one emission, and
-// appends the result to its output basket.
+// queues the result on every attached emitter.
 //
 // Execution modes (paper §4):
 //   kFullReeval   re-run the whole plan over the full window every slide —
@@ -66,8 +66,8 @@ std::optional<uint64_t> NextReadSeq(const FactoryInput& in, size_t rel,
 /// Monitoring snapshot (demo's per-query analysis pane).
 struct FactoryStats {
   uint64_t invocations = 0;
-  /// Emissions appended to the output basket. Zero-row emissions keep
-  /// their batch boundary there, so this equals what the emitter delivers
+  /// Emissions handed to the emitters, zero-row ones included, so this
+  /// equals what an emitter attached from the start delivers
   /// (EmitterStats::emissions once drained).
   uint64_t emissions = 0;
   uint64_t empty_emissions = 0;  // of which zero-row result sets
@@ -121,8 +121,7 @@ class Factory {
   static Result<std::shared_ptr<Factory>> Create(
       int id, std::string name, std::shared_ptr<exec::QueryExecutor> executor,
       ExecMode mode, std::vector<FactoryInput> inputs,
-      std::shared_ptr<Basket> output, SharedWindowNodePtr node = nullptr,
-      int sub_id = -1);
+      SharedWindowNodePtr node = nullptr, int sub_id = -1);
 
   ~Factory();
 
@@ -130,7 +129,6 @@ class Factory {
   const std::string& name() const { return name_; }
   ExecMode mode() const { return mode_; }
   const exec::QueryExecutor& executor() const { return *executor_; }
-  Basket* output() const { return output_.get(); }
   const std::vector<FactoryInput>& inputs() const { return inputs_; }
   /// The shared window node this factory is a tail of, or null.
   const SharedWindowNodePtr& node() const { return node_; }
@@ -148,7 +146,8 @@ class Factory {
   Status Fire();
 
   /// The emitters of the founder and its tier-F aliases (docs/SHARING.md),
-  /// attached by the engine at submit and detached at removal.
+  /// attached by the engine at submit and detached at removal. An emitter
+  /// receives exactly the emissions fired after it was attached.
   void AttachEmitter(std::shared_ptr<Emitter> emitter);
   void DetachEmitter(const Emitter* emitter);
 
@@ -190,8 +189,8 @@ class Factory {
 
   Factory(int id, std::string name,
           std::shared_ptr<exec::QueryExecutor> executor, ExecMode mode,
-          std::vector<FactoryInput> inputs, std::shared_ptr<Basket> output,
-          SharedWindowNodePtr node, int sub_id);
+          std::vector<FactoryInput> inputs, SharedWindowNodePtr node,
+          int sub_id);
 
   /// Runs pre-publication from Create, which takes mu_ around the call so
   /// the analysis can check Validate's guarded writes.
@@ -229,11 +228,11 @@ class Factory {
   /// across sides. -1 when unknown.
   Micros TriggerStampLocked(int64_t emission) const DC_REQUIRES(mu_);
 
-  /// Appends `result` to the output basket carrying `trigger_us` as the
-  /// batch's ingest stamp, so the emitter measures ingest→delivery
-  /// latency end to end (-1: the output append stamps itself).
-  Status EmitResult(const ColumnSet& result, Micros trigger_us)
-      DC_REQUIRES(mu_);
+  /// Queues `result` on every attached emitter, once, as an immutable
+  /// shared ColumnSet stamped with `trigger_us`, so the emitter measures
+  /// ingest→delivery latency end to end (-1: stamped now). Runs last in a
+  /// fire's emitting step, under mu_, so emitters see fires in order.
+  void EmitResult(ColumnSet result, Micros trigger_us) DC_REQUIRES(mu_);
 
   /// Stream-stream delta-join partials, keyed by {expiry emission,
   /// creating emission} — the first component is the basic-window-driven
@@ -278,7 +277,6 @@ class Factory {
   std::shared_ptr<exec::QueryExecutor> executor_;
   const ExecMode mode_;
   std::vector<FactoryInput> inputs_;
-  std::shared_ptr<Basket> output_;
   /// Tails only: the node serving this query's partials and the
   /// engine-owned subscription id used for Release calls.
   const SharedWindowNodePtr node_;
@@ -328,7 +326,8 @@ class Factory {
   std::vector<uint8_t> expiry_dirty_ DC_GUARDED_BY(mu_);  // pre-agg path
 
   FactoryStats stats_ DC_GUARDED_BY(mu_);
-  /// Separate from mu_ so delivery never waits out a concurrent fire.
+  /// Separate from mu_ so delivery never waits out a concurrent fire;
+  /// EmitResult takes it under mu_ to queue the emission.
   mutable Mutex emitters_mu_{LockRank::kDeliveryList};
   std::vector<std::shared_ptr<Emitter>> emitters_ DC_GUARDED_BY(emitters_mu_);
 };

@@ -120,18 +120,6 @@ void Scheduler::Pulse(Basket* basket) {
   WakeWorkers(enqueued);
 }
 
-void Scheduler::Notify() {
-  notifications_.fetch_add(1, std::memory_order_relaxed);
-  int enqueued = 0;
-  {
-    MutexLock lock(mu_);
-    for (const auto& [id, e] : entries_) {
-      if (EnqueueIfIdleLocked(id)) ++enqueued;
-    }
-  }
-  WakeWorkers(enqueued);
-}
-
 void Scheduler::NotifyFactory(int factory_id) {
   int enqueued = 0;
   {

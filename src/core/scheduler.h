@@ -35,9 +35,9 @@
 // rank kScheduler in the engine lock hierarchy (docs/CONCURRENCY.md,
 // enforced at runtime by the debug lock validator): above the factory
 // and shared-node locks, below basket locks. Factory::CheckReady()/Fire()
-// are only ever called with the scheduler lock NOT held: a firing
-// factory appends to its output basket, whose pulse listeners re-enter
-// the scheduler (Pulse -> mu_).
+// are only ever called with the scheduler lock NOT held: a fire takes
+// the factory lock and reads baskets, and delivery runs sinks that may
+// re-enter the engine.
 //
 // Lifetime: baskets passed to AttachArc must outlive the scheduler (the
 // destructor unregisters its pulse listeners from them). Engine satisfies
@@ -62,9 +62,9 @@ struct SchedulerStats {
   /// Factory firings actually performed (threaded workers + DrainReady).
   uint64_t fires = 0;
   /// Distinct data-arrival pulses: one per basket append / heartbeat /
-  /// seal on a basket with attached arcs, plus one per broadcast
-  /// Notify(). NOT per-worker wakeups and NOT per-factory enablements —
-  /// a pulse that enables five factories still counts once.
+  /// seal on a basket with attached arcs. NOT per-worker wakeups and NOT
+  /// per-factory enablements — a pulse that enables five factories still
+  /// counts once.
   uint64_t notifications = 0;
   /// Of the fires, how many returned a non-OK Status.
   uint64_t fire_errors = 0;
@@ -113,11 +113,6 @@ class Scheduler {
   /// (basket, factory) pair. The basket must outlive this scheduler.
   /// Arcs are detached by RemoveFactory / the destructor.
   void AttachArc(Basket* basket, int factory_id);
-
-  /// Broadcast pulse: enqueues every idle factory (workers drop the
-  /// not-ready ones). Registration-order compatibility path — targeted
-  /// arc pulses are the hot path. Counts as one notification.
-  void Notify();
 
   /// Targeted kick for one factory (resume, registration). Does not
   /// count as a data-arrival pulse.

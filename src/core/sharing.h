@@ -7,7 +7,7 @@
 //   Tier F (full-factory dedup)  Queries whose full compiled identity
 //       matches — prefix + finish signatures, signature parameters,
 //       window geometry, execution mode — alias ONE factory; each query
-//       keeps a private emitter/sink on the shared output basket. This
+//       attaches a private emitter/sink to the shared factory. This
 //       covers joins (one RollingJoinIndex for M identical texts).
 //
 //   Tier P (prefix/partial sharing)  Every incremental query over one

@@ -80,7 +80,7 @@ void AnalysisPane::Sample(Engine& engine) {
     Record(p + ".empty_emissions", now,
            static_cast<double>(q.factory.empty_emissions));
     Record(p + ".out_resident_rows", now,
-           static_cast<double>(q.out_basket.resident_rows));
+           static_cast<double>(q.emitter.pending_rows));
     // Ingest→delivery latency pane (docs/OBSERVABILITY.md): percentiles
     // of the query's end-to-end histogram. No point until the first
     // delivery — a 0 µs p99 would read as "infinitely fast", not "idle".

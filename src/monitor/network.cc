@@ -100,21 +100,18 @@ std::string ExportDot(Engine& engine) {
       out += StrFormat("  \"table:%s\" -> \"factory:%d\" [style=dashed];\n",
                        t.c_str(), fid);
     }
-    out += StrFormat(
-        "  \"out:%d\" [shape=box3d, style=filled, fillcolor=lightyellow,"
-        " label=\"basket %s.out\"];\n",
-        fid, rep.name.c_str());
-    out += StrFormat("  \"factory:%d\" -> \"out:%d\";\n", fid, fid);
     for (const ContinuousQueryInfo* q : group) {
       out += StrFormat(
           "  \"emit:%d\" [shape=cds, label=\"emitter %s\\n%llu rows\"];\n",
           q->id, q->name.c_str(),
           static_cast<unsigned long long>(q->emitter.rows));
-      // Aliased subscribers attach to the shared output with a marked
-      // edge; the owning query keeps the plain one.
+      // The factory queues every emission on each attached emitter;
+      // aliased subscribers get a marked edge, the owning query the plain
+      // one.
       out += q->id == fid
-                 ? StrFormat("  \"out:%d\" -> \"emit:%d\";\n", fid, q->id)
-                 : StrFormat("  \"out:%d\" -> \"emit:%d\""
+                 ? StrFormat("  \"factory:%d\" -> \"emit:%d\";\n", fid,
+                             q->id)
+                 : StrFormat("  \"factory:%d\" -> \"emit:%d\""
                              " [style=dashed, label=\"alias\"];\n",
                              fid, q->id);
     }

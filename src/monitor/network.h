@@ -15,7 +15,7 @@
 namespace dc::monitor {
 
 /// Graphviz DOT rendering of the live query network:
-/// stream baskets -> factories -> output baskets -> emitters, with
+/// stream baskets -> factories -> emitters, with
 /// persistent tables as side inputs. Paste into `dot -Tsvg` to get the
 /// demo's network diagram.
 std::string ExportDot(Engine& engine);

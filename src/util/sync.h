@@ -109,19 +109,24 @@ enum class LockRank : int {
   kEngine = 30,         // Engine::mu_ (registry of baskets/queries/receptors)
   kCatalog = 40,        // Catalog::mu_
   kReceptorPause = 50,  // Receptor::pause_mu_
-  kFactory = 60,        // Factory::mu_ (Fire holds it across basket I/O and
-                        // the output-basket pulse into the scheduler)
+  kFactory = 60,        // Factory::mu_ (Fire holds it across input-basket
+                        // reads and the hand-off of its emission to the
+                        // emitters' queues: kDeliveryList, kEmitterQueue)
   kSharedNode = 65,     // SharedWindowNode::mu_ (a tail Fire holds kFactory,
                         // calls into its shared node, which reads baskets)
   kScheduler = 70,      // Scheduler::mu_ (registry, arcs, ready queue;
-                        // taken from basket pulses a firing factory
-                        // sends while holding kFactory/kSharedNode)
+                        // taken from the pulses of stream-basket appends,
+                        // heartbeats and seals, outside the basket lock)
   kBasket = 100,        // Basket::mu_ (listeners run outside it)
   kWal = 105,           // storage::WalWriter::mu_ (per-basket log file;
                         // appends run under kBasket via the WAL hook)
   kTable = 110,         // Table::mu_
-  kDeliveryList = 120,  // Factory::emitters_mu_ (held only to copy or edit
-                        // the list; taken under kSharingRegistry)
+  kDeliveryList = 120,  // Factory::emitters_mu_ (held to copy or edit the
+                        // list, and by Fire to queue its emission on every
+                        // emitter; taken under kSharingRegistry/kFactory)
+  kEmitterQueue = 125,  // Emitter::queue_mu_ (its pending-emission FIFO:
+                        // pushed under kDeliveryList, popped under
+                        // kEmitterDrain; a leaf, no call runs under it)
   kCollector = 130,     // ResultCollector::mu_ (sink leaf)
   kLogging = 140,       // logging.cc serialization (engine leaf: any engine
                         // code may log while holding any lock below 140)
@@ -167,6 +172,8 @@ inline const char* LockRankName(LockRank r) {
       return "table";
     case LockRank::kDeliveryList:
       return "delivery-list";
+    case LockRank::kEmitterQueue:
+      return "emitter-queue";
     case LockRank::kCollector:
       return "collector";
     case LockRank::kLogging:

@@ -233,7 +233,6 @@ TEST_F(EmptyEmissionTest, FactoryEmissionsMatchEmitterDeliveries) {
   EXPECT_EQ(fs.empty_emissions, es.empty_emissions);
   EXPECT_EQ(fs.emissions, emissions.size());
   EXPECT_EQ(fs.empty_emissions, fs.emissions);
-  EXPECT_EQ(infos[0].out_basket.empty_batches, fs.empty_emissions);
 }
 
 }  // namespace

@@ -136,78 +136,24 @@ TEST(BasketTest, SeqRangeForTs) {
   EXPECT_EQ(range->second, 4u);
 }
 
-TEST(BasketTest, BatchLogSurvivesUpToDrop) {
+TEST(BasketTest, ZeroRowAppendIsCountedNotStored) {
+  // A zero-row batch carries no rows: it counts as a batch (the WAL logs
+  // it) but moves no sequence number and leaves no resident state, so
+  // keep-alive empty appends cannot grow the basket.
   Basket b("s", TsI64Schema(), 0);
+  const int r = b.RegisterReader(/*from_start=*/true);
   ASSERT_TRUE(b.Append({Bat::MakeTs({1, 2}), Bat::MakeI64({1, 2})}).ok());
-  ASSERT_TRUE(b.Append({Bat::MakeTs({3}), Bat::MakeI64({3})}).ok());
-  auto batches = b.BatchesAfter(0);
-  ASSERT_EQ(batches.size(), 2u);
-  EXPECT_EQ(batches[0].end_seq, 2u);
-  EXPECT_EQ(batches[1].end_seq, 3u);
-  ASSERT_EQ(b.BatchesAfter(1).size(), 1u);
-  EXPECT_EQ(b.BatchesAfter(1)[0].end_seq, 3u);
-  // Entries below the drop horizon are trimmed (no tracking reader here).
-  const int r = b.RegisterReader(true);
-  b.AdvanceReader(r, 2);
-  batches = b.BatchesAfter(0);
-  ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].end_seq, 3u);
-}
-
-TEST(BasketTest, EmptyBatchKeepsBoundaryForTrackingReader) {
-  Basket b("s", TsI64Schema(), 0);
-  b.RegisterReader(/*from_start=*/true, /*track_batches=*/true);
-  ASSERT_TRUE(b.Append({Bat::MakeTs({1, 2}), Bat::MakeI64({1, 2})}).ok());
-  ASSERT_TRUE(
-      b.Append({Bat::MakeEmpty(TypeId::kTs), Bat::MakeEmpty(TypeId::kI64)})
-          .ok());
-  ASSERT_TRUE(b.Append({Bat::MakeTs({3}), Bat::MakeI64({3})}).ok());
-  EXPECT_EQ(b.HighSeq(), 3u);  // the empty batch added no rows
-  EXPECT_EQ(b.Stats().append_batches, 3u);
-  EXPECT_EQ(b.Stats().empty_batches, 1u);
-  const auto batches = b.BatchesAfter(0);
-  ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[1].begin_seq, 2u);
-  EXPECT_EQ(batches[1].end_seq, 2u);  // zero-row boundary preserved
-  EXPECT_EQ(batches[2].end_seq, 3u);
-}
-
-TEST(BasketTest, EmptyBatchNotRetainedWithoutTrackingReader) {
-  // With nobody consuming the batch log, zero-row boundaries have no
-  // consumer: they count in stats but are not retained, so keep-alive
-  // empty appends cannot grow the log without bound.
-  Basket b("s", TsI64Schema(), 0);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
         b.Append({Bat::MakeEmpty(TypeId::kTs), Bat::MakeEmpty(TypeId::kI64)})
             .ok());
   }
-  EXPECT_EQ(b.Stats().empty_batches, 3u);
-  EXPECT_TRUE(b.BatchesAfter(0).empty());
-}
-
-TEST(BasketTest, EmptyBatchAtDropHorizonSurvivesUntilAcked) {
-  Basket b("s", TsI64Schema(), 0);
-  const int r = b.RegisterReader(/*from_start=*/true, /*track_batches=*/true);
-  ASSERT_TRUE(b.Append({Bat::MakeTs({1, 2}), Bat::MakeI64({1, 2})}).ok());
-  ASSERT_TRUE(
-      b.Append({Bat::MakeEmpty(TypeId::kTs), Bat::MakeEmpty(TypeId::kI64)})
-          .ok());
   ASSERT_TRUE(b.Append({Bat::MakeTs({3}), Bat::MakeI64({3})}).ok());
-  // Deliver batch 0 only: rows [0,2) drop, leaving the zero-row boundary
-  // sitting exactly at the drop horizon (seq 2). It must not be trimmed.
-  b.AdvanceReaderBatches(r, 2, 1);
-  EXPECT_EQ(b.DropHorizon(), 2u);
-  auto pending = b.BatchesAfter(1);
-  ASSERT_EQ(pending.size(), 2u);
-  EXPECT_EQ(pending[0].ordinal, 1u);
-  EXPECT_EQ(pending[0].end_seq, 2u);  // the empty boundary, still alive
-  // Acking it trims it without touching the following data batch — a
-  // delivered empty batch can never reappear (no double delivery).
-  b.AdvanceReaderBatches(r, 2, 2);
-  pending = b.BatchesAfter(0);
-  ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0].ordinal, 2u);
+  EXPECT_EQ(b.HighSeq(), 3u);  // the empty batches added no rows
+  EXPECT_EQ(b.Stats().append_batches, 5u);
+  EXPECT_EQ(b.Stats().empty_batches, 3u);
+  b.AdvanceReader(r, 3);
+  EXPECT_EQ(b.Stats().resident_rows, 0u);
 }
 
 TEST(BasketTest, BoundedAppendTimesOutWhenFull) {
@@ -279,21 +225,6 @@ TEST(BasketTest, BlockedAppendWakesWhenReaderFreesSpace) {
   EXPECT_EQ(b.HighSeq(), 3u);
   EXPECT_GE(b.Stats().append_stalls, 1u);
   EXPECT_EQ(b.Stats().append_timeouts, 0u);
-}
-
-TEST(BasketTest, SetLimitsWakesBlockedProducer) {
-  BasketLimits limits;
-  limits.max_rows = 1;
-  Basket b("s", TsI64Schema(), 0, limits);
-  b.RegisterReader(true);
-  ASSERT_TRUE(b.Append({Bat::MakeTs({1}), Bat::MakeI64({1})}).ok());
-  std::thread lifter([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    b.SetLimits(BasketLimits{});  // unbounded
-  });
-  ASSERT_TRUE(b.Append({Bat::MakeTs({2}), Bat::MakeI64({2})}).ok());
-  lifter.join();
-  EXPECT_EQ(b.HighSeq(), 2u);
 }
 
 TEST(BasketTest, HeartbeatAndSeal) {

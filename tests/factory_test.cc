@@ -7,7 +7,6 @@
 
 #include "storage/catalog.h"
 #include "tests/test_util.h"
-#include "util/string_util.h"
 
 namespace dc {
 namespace {
@@ -22,10 +21,6 @@ class FactoryTest : public ::testing::Test {
     def.ts_column = 0;
     ASSERT_TRUE(catalog_.RegisterStream(def).ok());
     basket_ = std::make_shared<Basket>("s", s, 0);
-
-    Schema out;
-    ASSERT_TRUE(out.AddColumn("x", TypeId::kI64).ok());
-    out_schema_ = out;
   }
 
   std::shared_ptr<exec::QueryExecutor> MakeExecutor(const std::string& sql) {
@@ -44,8 +39,7 @@ class FactoryTest : public ::testing::Test {
   /// An incremental tail over a private node built on the fixture's
   /// stream, the way the engine wires an unshared query.
   Result<FactoryPtr> Tail(std::shared_ptr<exec::QueryExecutor> ex,
-                          plan::WindowSpec w, std::shared_ptr<Basket> out,
-                          SharedWindowNodePtr* node) {
+                          plan::WindowSpec w, SharedWindowNodePtr* node) {
     *node = std::make_shared<SharedWindowNode>("s#1", basket_, ex, w.rows,
                                                w.slide);
     FactoryInput in;
@@ -53,16 +47,27 @@ class FactoryTest : public ::testing::Test {
     in.basket = basket_.get();
     in.window = w;
     return Factory::Create(1, "f", std::move(ex), ExecMode::kIncremental,
-                           {in}, std::move(out), *node, (*node)->Subscribe());
+                           {in}, *node, (*node)->Subscribe());
   }
 
-  std::shared_ptr<Basket> OutBasket(const exec::QueryExecutor& ex) {
-    Schema out;
-    const auto types = exec::OutputTypes(ex.compiled());
-    for (size_t i = 0; i < types.size(); ++i) {
-      DC_CHECK_OK(out.AddColumn(StrFormat("c%zu", i), types[i]));
+  /// Attaches a collecting emitter to `f`, the way the engine attaches a
+  /// query's emitter at submit.
+  std::shared_ptr<ResultCollector> Collect(const FactoryPtr& f) {
+    auto collector = std::make_shared<ResultCollector>();
+    f->AttachEmitter(std::make_shared<Emitter>("e", collector->AsSink()));
+    return collector;
+  }
+
+  /// Delivers `f`'s queued emissions and returns the first column of
+  /// every delivered row, across emissions.
+  static std::vector<int64_t> Delivered(const FactoryPtr& f,
+                                        ResultCollector& out) {
+    f->Deliver();
+    std::vector<int64_t> v;
+    for (const ColumnSet& e : out.TakeAll()) {
+      for (int64_t x : e.cols[0]->I64Data()) v.push_back(x);
     }
-    return std::make_shared<Basket>("out", out);
+    return v;
   }
 
   void Push(int64_t ts_sec, int64_t v) {
@@ -74,21 +79,20 @@ class FactoryTest : public ::testing::Test {
 
   Catalog catalog_;
   std::shared_ptr<Basket> basket_;
-  Schema out_schema_;
 };
 
 TEST_F(FactoryTest, PerBatchFiresOnlyWithData) {
   auto ex = MakeExecutor("SELECT v FROM s");
-  auto out = OutBasket(*ex);
   auto f = Factory::Create(1, "f", ex, ExecMode::kFullReeval,
-                           {StreamInput(std::nullopt)}, out);
+                           {StreamInput(std::nullopt)});
   ASSERT_TRUE(f.ok()) << f.status().ToString();
+  auto out = Collect(*f);
   EXPECT_FALSE((*f)->CheckReady());
   Push(1, 10);
   EXPECT_TRUE((*f)->CheckReady());
   ASSERT_TRUE((*f)->Fire().ok());
   EXPECT_FALSE((*f)->CheckReady());
-  EXPECT_EQ(out->HighSeq(), 1u);
+  EXPECT_EQ(Delivered(*f, *out), std::vector<int64_t>{10});
   // Consumed tuples are dropped from the input basket.
   EXPECT_EQ(basket_->Stats().resident_rows, 0u);
 }
@@ -99,24 +103,24 @@ TEST_F(FactoryTest, RowsWindowFiringAndConsumption) {
   w.size = 4;
   w.slide = 2;
   auto ex = MakeExecutor("SELECT sum(v) FROM s");
-  auto out = OutBasket(*ex);
   auto f = Factory::Create(1, "f", ex, ExecMode::kFullReeval,
-                           {StreamInput(w)}, out);
+                           {StreamInput(w)});
   ASSERT_TRUE(f.ok());
+  auto out = Collect(*f);
   for (int i = 1; i <= 3; ++i) Push(i, i);
   EXPECT_FALSE((*f)->CheckReady());  // 3 rows < window of 4
   Push(4, 4);
   ASSERT_TRUE((*f)->CheckReady());
   ASSERT_TRUE((*f)->Fire().ok());
   // Window [0,4) emitted sum 10; rows 0,1 (below next window start) drop.
-  EXPECT_EQ(out->Read(0).cols[0]->I64Data()[0], 10);
+  EXPECT_EQ(Delivered(*f, *out), std::vector<int64_t>{10});
   EXPECT_EQ(basket_->Stats().dropped_total, 2u);
   EXPECT_FALSE((*f)->CheckReady());
   Push(5, 5);
   Push(6, 6);
   ASSERT_TRUE((*f)->CheckReady());
   ASSERT_TRUE((*f)->Fire().ok());
-  EXPECT_EQ(out->Read(1).cols[0]->I64Data()[0], 3 + 4 + 5 + 6);
+  EXPECT_EQ(Delivered(*f, *out), std::vector<int64_t>{3 + 4 + 5 + 6});
 }
 
 TEST_F(FactoryTest, IncrementalCachesFragmentsPerBasicWindow) {
@@ -125,9 +129,8 @@ TEST_F(FactoryTest, IncrementalCachesFragmentsPerBasicWindow) {
   w.size = 4;
   w.slide = 1;
   auto ex = MakeExecutor("SELECT sum(v), count(*) FROM s");
-  auto out = OutBasket(*ex);
   SharedWindowNodePtr node;
-  auto f = Tail(ex, w, out, &node);
+  auto f = Tail(ex, w, &node);
   ASSERT_TRUE(f.ok()) << f.status().ToString();
   for (int i = 0; i < 10; ++i) {
     Push(i, 1);
@@ -152,7 +155,7 @@ TEST_F(FactoryTest, IncrementalWindowWithoutNodeIsRejected) {
   // A divisible incremental window runs only as a node tail; it must not
   // silently run in another mode.
   auto f = Factory::Create(1, "f", ex, ExecMode::kIncremental,
-                           {StreamInput(w)}, OutBasket(*ex));
+                           {StreamInput(w)});
   EXPECT_TRUE(f.status().IsInvalidArgument()) << f.status().ToString();
 }
 
@@ -162,16 +165,16 @@ TEST_F(FactoryTest, IncrementalFallsBackWhenNotDivisible) {
   w.size = 5;
   w.slide = 2;  // 5 % 2 != 0
   auto ex = MakeExecutor("SELECT sum(v) FROM s");
-  auto out = OutBasket(*ex);
   auto f = Factory::Create(1, "f", ex, ExecMode::kIncremental,
-                           {StreamInput(w)}, out);
+                           {StreamInput(w)});
   ASSERT_TRUE(f.ok());
+  auto out = Collect(*f);
   EXPECT_TRUE((*f)->Stats().fell_back_to_full);
   for (int i = 0; i < 7; ++i) Push(i, i);
   while ((*f)->CheckReady()) ASSERT_TRUE((*f)->Fire().ok());
   // Still correct: window [0,5) then [2,7).
-  EXPECT_EQ(out->Read(0).cols[0]->I64Data()[0], 0 + 1 + 2 + 3 + 4);
-  EXPECT_EQ(out->Read(1).cols[0]->I64Data()[0], 2 + 3 + 4 + 5 + 6);
+  EXPECT_EQ(Delivered(*f, *out),
+            (std::vector<int64_t>{0 + 1 + 2 + 3 + 4, 2 + 3 + 4 + 5 + 6}));
 }
 
 TEST_F(FactoryTest, RangeWindowSkipsEmptyLeadingWindows) {
@@ -180,10 +183,10 @@ TEST_F(FactoryTest, RangeWindowSkipsEmptyLeadingWindows) {
   w.size = 4 * kMicrosPerSecond;
   w.slide = 2 * kMicrosPerSecond;
   auto ex = MakeExecutor("SELECT count(*) FROM s");
-  auto out = OutBasket(*ex);
   SharedWindowNodePtr node;
-  auto f = Tail(ex, w, out, &node);
+  auto f = Tail(ex, w, &node);
   ASSERT_TRUE(f.ok()) << f.status().ToString();
+  auto out = Collect(*f);
   // Stream starts late: first event at t=100 s.
   Push(100, 1);
   Push(101, 2);
@@ -192,14 +195,13 @@ TEST_F(FactoryTest, RangeWindowSkipsEmptyLeadingWindows) {
   ASSERT_TRUE((*f)->CheckReady());
   ASSERT_TRUE((*f)->Fire().ok());
   // First window ends at 102 s and contains the events at 100/101.
-  EXPECT_EQ(out->Read(0).cols[0]->I64Data()[0], 2);
+  EXPECT_EQ(Delivered(*f, *out), std::vector<int64_t>{2});
 }
 
 TEST_F(FactoryTest, PausedFactoryIsNotReady) {
   auto ex = MakeExecutor("SELECT v FROM s");
-  auto out = OutBasket(*ex);
   auto f = Factory::Create(1, "f", ex, ExecMode::kFullReeval,
-                           {StreamInput(std::nullopt)}, out);
+                           {StreamInput(std::nullopt)});
   ASSERT_TRUE(f.ok());
   Push(1, 1);
   (*f)->Pause();
@@ -211,22 +213,19 @@ TEST_F(FactoryTest, PausedFactoryIsNotReady) {
 
 TEST_F(FactoryTest, ValidationErrors) {
   auto ex = MakeExecutor("SELECT v FROM s");
-  auto out = OutBasket(*ex);
   // No inputs at all.
-  EXPECT_FALSE(
-      Factory::Create(1, "f", ex, ExecMode::kFullReeval, {}, out).ok());
+  EXPECT_FALSE(Factory::Create(1, "f", ex, ExecMode::kFullReeval, {}).ok());
   // Stream input without a basket.
   FactoryInput bad;
   bad.is_stream = true;
   EXPECT_FALSE(
-      Factory::Create(1, "f", ex, ExecMode::kFullReeval, {bad}, out).ok());
+      Factory::Create(1, "f", ex, ExecMode::kFullReeval, {bad}).ok());
 }
 
 TEST_F(FactoryTest, FireIsIdempotentWhenNotReady) {
   auto ex = MakeExecutor("SELECT v FROM s");
-  auto out = OutBasket(*ex);
   auto f = Factory::Create(1, "f", ex, ExecMode::kFullReeval,
-                           {StreamInput(std::nullopt)}, out);
+                           {StreamInput(std::nullopt)});
   ASSERT_TRUE(f.ok());
   ASSERT_TRUE((*f)->Fire().ok());  // no data: no-op
   EXPECT_EQ((*f)->Stats().emissions, 0u);

@@ -210,8 +210,8 @@ TEST_F(SharedNetworkTest, DotRendersSharedNodeAndAliasEdges) {
   EXPECT_NE(dot.find("a | b"), std::string::npos);
   EXPECT_NE(dot.find("shared x2"), std::string::npos);
   EXPECT_EQ(dot.find(StrFormat("\"factory:%d\"", qb_)), std::string::npos);
-  // ...and the alias gets its own emitter off the shared output basket.
-  EXPECT_NE(dot.find(StrFormat("\"out:%d\" -> \"emit:%d\""
+  // ...and the alias gets its own emitter off the shared factory.
+  EXPECT_NE(dot.find(StrFormat("\"factory:%d\" -> \"emit:%d\""
                                " [style=dashed, label=\"alias\"]",
                                qa_, qb_)),
             std::string::npos);
@@ -245,7 +245,7 @@ TEST(FactoryAliasTest, NonDivisibleWindowAliasesFactoryOnly) {
   EXPECT_NE(dot.find("d | e"), std::string::npos);
   EXPECT_NE(dot.find("\"basket:s\" -> \"factory:"), std::string::npos);
   EXPECT_EQ(dot.find(StrFormat("\"factory:%d\"", qe)), std::string::npos);
-  EXPECT_NE(dot.find(StrFormat("\"out:%d\" -> \"emit:%d\"", qd, qe)),
+  EXPECT_NE(dot.find(StrFormat("\"factory:%d\" -> \"emit:%d\"", qd, qe)),
             std::string::npos);
 }
 

@@ -19,6 +19,15 @@ namespace {
 
 using testutil::TsI64Schema;
 
+// One emission as a factory queues it: immutable, shared by every emitter.
+std::shared_ptr<const ColumnSet> Emission(std::vector<int64_t> ts,
+                                          std::vector<int64_t> v) {
+  auto e = std::make_shared<ColumnSet>();
+  e->names = {"ts", "v"};
+  e->cols = {Bat::MakeTs(std::move(ts)), Bat::MakeI64(std::move(v))};
+  return e;
+}
+
 Receptor::RowGen CountingGen(int64_t n) {
   auto i = std::make_shared<int64_t>(0);
   return [n, i](std::vector<Value>* row) {
@@ -128,14 +137,13 @@ TEST(ReceptorTest, CsvSourceParsesAndCoerces) {
 }
 
 TEST(EmitterTest, PreservesEmissionBoundaries) {
-  auto basket = std::make_shared<Basket>("out", TsI64Schema(), SIZE_MAX);
   ResultCollector collector;
-  Emitter emitter("e", basket, {"ts", "v"}, collector.AsSink());
+  Emitter emitter("e", collector.AsSink());
   // Three "emissions" of different sizes.
-  DC_CHECK_OK(basket->Append({Bat::MakeTs({1, 2}), Bat::MakeI64({1, 2})}));
-  DC_CHECK_OK(basket->Append({Bat::MakeTs({3}), Bat::MakeI64({3})}));
-  DC_CHECK_OK(
-      basket->Append({Bat::MakeTs({4, 5, 6}), Bat::MakeI64({4, 5, 6})}));
+  emitter.Enqueue(Emission({1, 2}, {1, 2}), -1);
+  emitter.Enqueue(Emission({3}, {3}), -1);
+  emitter.Enqueue(Emission({4, 5, 6}, {4, 5, 6}), -1);
+  EXPECT_EQ(emitter.Stats().pending_rows, 6u);
   EXPECT_EQ(emitter.Drain(), 3);
   auto emissions = collector.TakeAll();
   ASSERT_EQ(emissions.size(), 3u);
@@ -143,8 +151,8 @@ TEST(EmitterTest, PreservesEmissionBoundaries) {
   EXPECT_EQ(emissions[1].NumRows(), 1u);
   EXPECT_EQ(emissions[2].NumRows(), 3u);
   EXPECT_EQ(emissions[2].names[1], "v");
-  // Delivered tuples are consumed from the output basket.
-  EXPECT_EQ(basket->Stats().resident_rows, 0u);
+  // Delivered emissions leave the pending queue.
+  EXPECT_EQ(emitter.Stats().pending_rows, 0u);
   EXPECT_EQ(emitter.Stats().emissions, 3u);
   EXPECT_EQ(emitter.Stats().rows, 6u);
 }
@@ -214,8 +222,8 @@ TEST(EmitterTest, ThreadedEngineDelivery) {
 
 // Removing a tier-F alias while its founder keeps firing: the alias's
 // final flush happens inside RemoveContinuous, and its sink is never
-// called after that returns, though workers still deliver to the founder
-// from the same output basket.
+// called after that returns, though workers still deliver the same
+// factory's emissions to the founder.
 TEST(EmitterTest, RemovedAliasSinkIsNeverCalledAgain) {
   Engine engine(testutil::Threaded(2));
   ASSERT_TRUE(engine.Execute("CREATE STREAM s (ts timestamp, v int)").ok());
@@ -247,7 +255,7 @@ TEST(EmitterTest, RemovedAliasSinkIsNeverCalledAgain) {
   EXPECT_GE(alias_calls.load(), 20u);
   ASSERT_TRUE(engine.RemoveContinuous(*q_alias).ok());
   removed.store(true);
-  // The founder keeps firing and delivering from the shared basket.
+  // The founder keeps firing and delivering from the shared factory.
   const size_t at_removal = founder.EmissionCount();
   while (founder.EmissionCount() < at_removal + 20 &&
          SteadyMicros() < deadline) {
@@ -260,14 +268,171 @@ TEST(EmitterTest, RemovedAliasSinkIsNeverCalledAgain) {
   EXPECT_EQ(late_calls.load(), 0u);
 }
 
+// A factory queues each emission once, as one immutable ColumnSet shared
+// by every attached emitter. A sink may keep what it received: later fires
+// never write into it. Covers each factory shape, with a tier-F alias per
+// query so two sinks share every emission.
+TEST(EmitterTest, KeptEmissionsStayUnchanged) {
+  Engine engine(testutil::SyncOptions());
+  ASSERT_TRUE(engine
+                  .Execute("CREATE STREAM s (ts timestamp, g int, v int);"
+                           "CREATE STREAM r (rts timestamp, kr int, y int);"
+                           "CREATE TABLE dim (g int, label string);"
+                           "INSERT INTO dim VALUES (0,'a'), (1,'b'), (2,'a')")
+                  .ok());
+  const std::string range = "[RANGE 2 SECONDS SLIDE 1 SECONDS]";
+  struct Shape {
+    const char* label;
+    std::string sql;
+    ExecMode mode;
+  };
+  const std::vector<Shape> shapes = {
+      {"per-batch", "SELECT ts, g, v FROM s WHERE v >= 0",
+       ExecMode::kFullReeval},
+      {"full-reeval window",
+       "SELECT g, count(*), sum(v) FROM s " + range +
+           " GROUP BY g ORDER BY g",
+       ExecMode::kFullReeval},
+      {"node tail",
+       "SELECT g, count(*), sum(v) FROM s " + range +
+           " GROUP BY g ORDER BY g",
+       ExecMode::kIncremental},
+      {"stream-table tail",
+       "SELECT label, count(*), sum(v) FROM s " + range +
+           " JOIN dim ON s.g = dim.g GROUP BY label ORDER BY label",
+       ExecMode::kIncremental},
+      {"delta join, row path",
+       "SELECT ts, g, v, y FROM s " + range + " JOIN r " + range +
+           " ON g = kr ORDER BY ts, g, v, y",
+       ExecMode::kIncremental},
+      {"delta join, pre-aggregated path",
+       "SELECT count(*), sum(v), sum(y) FROM s " + range + " JOIN r " +
+           range + " ON g = kr",
+       ExecMode::kIncremental},
+  };
+  // Per submitted query: every emission as received, and its rendering at
+  // the moment it arrived.
+  struct Kept {
+    std::vector<ColumnSet> sets;
+    std::vector<std::string> at_arrival;
+  };
+  std::vector<Kept> kept(2 * shapes.size());
+  std::vector<int> ids;
+  for (size_t i = 0; i < kept.size(); ++i) {
+    const Shape& shape = shapes[i / 2];
+    Engine::ContinuousOptions o = testutil::WithMode(shape.mode);
+    o.sink = [k = &kept[i]](const ColumnSet& e) {
+      k->sets.push_back(e);
+      k->at_arrival.push_back(e.ToString(1 << 20));
+    };
+    auto q = engine.SubmitContinuous(shape.sql, o);
+    ASSERT_TRUE(q.ok()) << shape.label << ": " << q.status().ToString();
+    ids.push_back(*q);
+  }
+  ASSERT_EQ(engine.GetSharingStats().full_hits, shapes.size());
+
+  for (int64_t i = 0; i < 96; ++i) {
+    const Micros ts = i * 250 * kMicrosPerMilli;  // four rows per second
+    ASSERT_TRUE(
+        engine.PushRow("s", {Value::Ts(ts), Value::I64(i % 3), Value::I64(i)})
+            .ok());
+    ASSERT_TRUE(engine
+                    .PushRow("r", {Value::Ts(ts), Value::I64(i % 3),
+                                   Value::I64(2 * i)})
+                    .ok());
+    engine.Pump();
+  }
+
+  std::map<int, ContinuousQueryInfo> infos;
+  for (const ContinuousQueryInfo& info : engine.Queries()) {
+    infos[info.id] = info;
+  }
+  for (size_t i = 0; i < kept.size(); ++i) {
+    const Shape& shape = shapes[i / 2];
+    SCOPED_TRACE(std::string(shape.label) + (i % 2 ? " (alias)" : ""));
+    const ContinuousQueryInfo& info = infos.at(ids[i]);
+    ASSERT_TRUE(info.factory.last_error.empty()) << info.factory.last_error;
+    EXPECT_EQ(info.mode, shape.mode);
+    if (shape.mode == ExecMode::kIncremental) {
+      // The shapes are what their labels say: tails ride a window node,
+      // joins run the delta path.
+      EXPECT_EQ(info.shared_node.empty(), info.input_streams.size() == 2);
+      if (info.input_streams.size() == 2) {
+        EXPECT_GT(info.factory.delta_pairs, 0u);
+      }
+    }
+    const Kept& k = kept[i];
+    ASSERT_GE(k.sets.size(), 12u);
+    EXPECT_EQ(k.sets.size(), info.factory.emissions);
+    // Every emission, the early ones followed by at least ten more fires,
+    // still reads as it did on arrival.
+    for (size_t e = 0; e < k.sets.size(); ++e) {
+      ASSERT_EQ(k.sets[e].ToString(1 << 20), k.at_arrival[e])
+          << "emission " << e << " of " << k.sets.size();
+    }
+    if (i % 2 == 1) {
+      // The alias's sink received the founder's emissions themselves.
+      const Kept& founder = kept[i - 1];
+      ASSERT_EQ(k.sets.size(), founder.sets.size());
+      for (size_t e = 0; e < k.sets.size(); ++e) {
+        ASSERT_EQ(k.sets[e].cols, founder.sets[e].cols) << "emission " << e;
+      }
+    }
+  }
+}
+
+// In sync mode, a tier-F alias submitted after the founder has emitted
+// receives exactly the founder's emissions from its submit on: none of the
+// earlier ones, and every later one in order.
+TEST(EmitterTest, LateAliasReceivesEmissionsFromItsSubmitOn) {
+  Engine engine(testutil::SyncOptions());
+  ASSERT_TRUE(
+      engine.Execute("CREATE STREAM s (ts timestamp, g int, v int)").ok());
+  const char* sql =
+      "SELECT g, count(*), sum(v) FROM s "
+      "[RANGE 1 SECONDS SLIDE 1 SECONDS] GROUP BY g ORDER BY g";
+  auto founder = engine.SubmitContinuous(sql);
+  ASSERT_TRUE(founder.ok()) << founder.status().ToString();
+  int64_t next = 0;
+  auto pump_rows = [&](int64_t n) {
+    for (int64_t end = next + n; next < end; ++next) {
+      ASSERT_TRUE(engine
+                      .PushRow("s", {Value::Ts(next * 100 * kMicrosPerMilli),
+                                     Value::I64(next % 2), Value::I64(next)})
+                      .ok());
+      engine.Pump();
+    }
+  };
+  pump_rows(57);
+  const std::vector<ColumnSet> before = *engine.TakeResults(*founder);
+  ASSERT_GE(before.size(), 5u);  // N emissions before the alias exists
+
+  auto alias = engine.SubmitContinuous(sql);
+  ASSERT_TRUE(alias.ok()) << alias.status().ToString();
+  ASSERT_EQ(engine.GetSharingStats().full_hits, 1u);
+  EXPECT_TRUE(engine.TakeResults(*alias)->empty());
+
+  pump_rows(43);
+  const std::vector<ColumnSet> founder_after = *engine.TakeResults(*founder);
+  const std::vector<ColumnSet> alias_after = *engine.TakeResults(*alias);
+  ASSERT_GE(founder_after.size(), 4u);
+  EXPECT_EQ(testutil::EmissionStrings(alias_after),
+            testutil::EmissionStrings(founder_after));
+  uint64_t founder_emissions = 0, alias_emissions = 0;
+  for (const ContinuousQueryInfo& info : engine.Queries()) {
+    (info.id == *founder ? founder_emissions : alias_emissions) =
+        info.emitter.emissions;
+  }
+  EXPECT_EQ(founder_emissions, before.size() + founder_after.size());
+  EXPECT_EQ(alias_emissions, alias_after.size());
+}
+
 TEST(EmitterTest, DeliversZeroRowEmissions) {
-  auto basket = std::make_shared<Basket>("out", TsI64Schema(), SIZE_MAX);
   ResultCollector collector;
-  Emitter emitter("e", basket, {"ts", "v"}, collector.AsSink());
-  DC_CHECK_OK(basket->Append({Bat::MakeTs({1}), Bat::MakeI64({1})}));
-  DC_CHECK_OK(basket->Append(
-      {Bat::MakeEmpty(TypeId::kTs), Bat::MakeEmpty(TypeId::kI64)}));
-  DC_CHECK_OK(basket->Append({Bat::MakeTs({2}), Bat::MakeI64({2})}));
+  Emitter emitter("e", collector.AsSink());
+  emitter.Enqueue(Emission({1}, {1}), -1);
+  emitter.Enqueue(Emission({}, {}), -1);
+  emitter.Enqueue(Emission({2}, {2}), -1);
   EXPECT_EQ(emitter.Drain(), 3);
   auto emissions = collector.TakeAll();
   ASSERT_EQ(emissions.size(), 3u);
@@ -284,23 +449,22 @@ TEST(EmitterTest, DeliversZeroRowEmissions) {
 }
 
 TEST(EmitterTest, CloseFlushesThenDeliversNothing) {
-  auto basket = std::make_shared<Basket>("out", TsI64Schema(), SIZE_MAX);
   ResultCollector collector;
-  Emitter emitter("e", basket, {"ts", "v"}, collector.AsSink());
-  DC_CHECK_OK(basket->Append({Bat::MakeTs({1}), Bat::MakeI64({1})}));
+  Emitter emitter("e", collector.AsSink());
+  emitter.Enqueue(Emission({1}, {1}), -1);
   emitter.Close();  // final flush
   EXPECT_EQ(collector.EmissionCount(), 1u);
-  DC_CHECK_OK(basket->Append({Bat::MakeTs({2}), Bat::MakeI64({2})}));
+  emitter.Enqueue(Emission({2}, {2}), -1);
+  EXPECT_EQ(emitter.Stats().pending_rows, 0u);  // dropped, not queued
   EXPECT_EQ(emitter.Drain(), 0);
   emitter.Close();
   EXPECT_EQ(collector.EmissionCount(), 1u);
   EXPECT_EQ(emitter.Stats().emissions, 1u);
 }
 
-TEST(EmitterTest, DrainOnEmptyBasketIsNoop) {
-  auto basket = std::make_shared<Basket>("out", TsI64Schema(), SIZE_MAX);
+TEST(EmitterTest, DrainOnEmptyQueueIsNoop) {
   ResultCollector collector;
-  Emitter emitter("e", basket, {"ts", "v"}, collector.AsSink());
+  Emitter emitter("e", collector.AsSink());
   EXPECT_EQ(emitter.Drain(), 0);
   EXPECT_EQ(collector.EmissionCount(), 0u);
 }

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -883,7 +885,7 @@ TEST_F(RecoveryTest, ReplayTailLongerThanTheBasketBoundRecovers) {
                           ? DurableSyncOptions(dir_, nullptr,
                                                FsyncPolicy::kNever)
                           : testutil::SyncOptions();
-    o.basket_limits = BasketLimits{/*max_rows=*/1 << 16, /*max_bytes=*/0};
+    o.basket_limits = BasketLimits{/*max_rows=*/1 << 16};
     return o;
   };
   auto push = [](Engine& e, int64_t lo, int64_t hi) {
@@ -1112,10 +1114,11 @@ TEST_F(RecoveryTest, DurabilityDoesNotChangeEmissions) {
   EXPECT_EQ(durable, plain);
 }
 
-// Threaded engine with the background checkpointer: snapshots happen on
-// their own, a restart recovers cleanly, and the resumed sync-mode run
-// still lands on a suffix of the deterministic per-window oracle.
-TEST(RecoveryThreaded, BackgroundCheckpointerRecovers) {
+// Threaded engine with checkpoints racing the workers' fires: a second
+// thread checkpoints every 5 ms while rows stream in, a restart recovers
+// cleanly, and the resumed sync-mode run still lands on a suffix of the
+// deterministic per-window oracle.
+TEST(RecoveryThreaded, ConcurrentCheckpointsRecover) {
   const std::string dir = MakeTempDir("ckptloop");
   const std::vector<WRow> rows = WorkloadRows(240);
 
@@ -1134,11 +1137,26 @@ TEST(RecoveryThreaded, BackgroundCheckpointerRecovers) {
     o.durability.dir = dir;
     o.durability.fsync = FsyncPolicy::kInterval;
     o.durability.fsync_interval_batches = 8;
-    o.durability.checkpoint_interval_ms = 5;
     Engine e(o);
     ASSERT_TRUE(e.recovery_status().ok());
     WorkloadDdl(e);
     WorkloadSubmit(e);
+    std::atomic<bool> stop{false};
+    std::thread checkpointer([&] {
+      while (!stop.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        EXPECT_TRUE(e.Checkpoint().ok());
+      }
+    });
+    // Joined before `e` goes, also when an assertion below returns early.
+    struct Joiner {
+      std::atomic<bool>& stop;
+      std::thread& t;
+      ~Joiner() {
+        stop.store(true);
+        t.join();
+      }
+    } joiner{stop, checkpointer};
     for (size_t i = 0; i < rows.size(); ++i) {
       ASSERT_TRUE(
           e.PushRow("s", {Value::Ts(rows[i].ts_us), Value::I64(rows[i].g),

@@ -39,15 +39,12 @@ class SchedulerStressTest : public ::testing::Test {
     if (basket == nullptr) basket = basket_.get();
     auto ex = testutil::CompileQuery(StrFormat("SELECT v FROM %s", stream),
                                      catalog_);
-    Schema out;
-    DC_CHECK_OK(out.AddColumn("v", TypeId::kI64));
-    auto out_basket = std::make_shared<Basket>("out", out);
     FactoryInput in;
     in.is_stream = true;
     in.basket = basket;
     in.reader_id = basket->RegisterReader(true);
     auto f = Factory::Create(id, StrFormat("f%d", id), ex,
-                             ExecMode::kFullReeval, {in}, out_basket);
+                             ExecMode::kFullReeval, {in});
     DC_CHECK_OK(f.status());
     return *f;
   }

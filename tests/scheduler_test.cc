@@ -31,17 +31,21 @@ class SchedulerTest : public ::testing::Test {
 
   FactoryPtr MakeFactory(int id) {
     auto ex = testutil::CompileQuery("SELECT v FROM s", catalog_);
-    Schema out;
-    DC_CHECK_OK(out.AddColumn("v", TypeId::kI64));
-    auto out_basket = std::make_shared<Basket>("out", out);
     FactoryInput in;
     in.is_stream = true;
     in.basket = basket_.get();
     in.reader_id = basket_->RegisterReader(true);
     auto f = Factory::Create(id, StrFormat("f%d", id), ex,
-                             ExecMode::kFullReeval, {in}, out_basket);
+                             ExecMode::kFullReeval, {in});
     DC_CHECK_OK(f.status());
     return *f;
+  }
+
+  // Engine-style registration: arc before the factory itself, so each
+  // append pulses exactly the factories reading the basket.
+  static void Wire(Scheduler& sched, const FactoryPtr& f) {
+    for (Basket* b : f->InputBaskets()) sched.AttachArc(b, f->id());
+    sched.AddFactory(f);
   }
 
   void Push(int64_t v) {
@@ -80,13 +84,12 @@ TEST_F(SchedulerTest, RemoveFactoryStopsFiring) {
   EXPECT_EQ(sched.Factories().size(), 0u);
 }
 
-TEST_F(SchedulerTest, ThreadedWorkersFireOnNotify) {
+TEST_F(SchedulerTest, ThreadedWorkersFireOnArcPulses) {
   Scheduler sched(2);
   auto f1 = MakeFactory(1);
   auto f2 = MakeFactory(2);
-  sched.AddFactory(f1);
-  sched.AddFactory(f2);
-  basket_->AddListener([&] { sched.Notify(); });
+  Wire(sched, f1);
+  Wire(sched, f2);
   sched.Start();
   for (int i = 0; i < 50; ++i) Push(i);
   const Micros deadline = SteadyMicros() + 5 * kMicrosPerSecond;
@@ -142,7 +145,6 @@ TEST_F(SchedulerTest, ConcurrentAddRemoveUnderFire) {
   // while another thread churns add/remove. TSan + repeat-until-fail in CI
   // make this a race hunt.
   Scheduler sched(4);
-  basket_->AddListener([&] { sched.Notify(); });
   sched.Start();
   std::atomic<bool> done{false};
   std::thread feeder([&] {
@@ -154,7 +156,7 @@ TEST_F(SchedulerTest, ConcurrentAddRemoveUnderFire) {
   });
   for (int round = 0; round < 50; ++round) {
     auto f = MakeFactory(100 + round);
-    sched.AddFactory(f);
+    Wire(sched, f);
     // Give workers a chance to claim and fire it, then rip it out.
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     sched.RemoveFactory(100 + round);
